@@ -43,7 +43,6 @@ from .io import load_model, read_dataset, save_model, split_response_columns, wr
 from .linalg import (
     CenteringInfo,
     as_matrix,
-    as_vector,
     center_columns,
     leading_left_singular_vector,
     least_squares,
@@ -88,7 +87,6 @@ __all__ = [
     "StudyResult",
     "ZeroVarianceWarning",
     "as_matrix",
-    "as_vector",
     "beta_distance",
     "center_columns",
     "check_loss",

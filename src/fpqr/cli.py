@@ -30,6 +30,7 @@ from .exceptions import (
 from .fpqr import fit_fpqr
 from .io import read_dataset, save_model, load_model, split_response_columns, write_matrix_csv
 from .pls import fit_pls
+from .quantreg import validate_tau
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -52,13 +53,18 @@ def _add_data_arguments(parser):
     )
 
 
+def _tau(text):
+    try:
+        return validate_tau(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_fit_arguments(parser):
     parser.add_argument("--method", choices=("fpqr", "pls"), default="fpqr")
     parser.add_argument("--metric", choices=("li", "dodge", "choi"), default="li")
-    parser.add_argument("--tau", type=float, default=0.5)
-    parser.add_argument("--components", type=int, default=None)
+    parser.add_argument("--tau", type=_tau, default=0.5)
     parser.add_argument("--center", choices=("mean", "none"), default="mean")
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def _load_xy(args):
@@ -88,21 +94,14 @@ class _UsageError(Exception):
     pass
 
 
-def _validated_tau(args):
-    if not 0.0 < args.tau < 1.0:
-        raise _UsageError("--tau must lie in the open interval (0, 1)")
-    return args.tau
-
-
 def cmd_fit(args):
     if args.components is not None and args.components < 1:
         raise _UsageError("--components must be at least 1")
     X, Y, x_names, y_names = _load_xy(args)
     if args.method == "fpqr":
-        tau = _validated_tau(args)
-        model = fit_fpqr(X, Y, args.components, tau=tau, metric=args.metric, center=args.center)
-        objective = quantile_error(Y, model.predict(X), tau)
-        detail = f"metric={args.metric} tau={tau:g}"
+        model = fit_fpqr(X, Y, args.components, tau=args.tau, metric=args.metric, center=args.center)
+        objective = quantile_error(Y, model.predict(X), args.tau)
+        detail = f"metric={args.metric} tau={args.tau:g}"
     else:
         model = fit_pls(X, Y, args.components, center=args.center)
         objective = test_mse(Y, model.predict(X))
@@ -118,12 +117,18 @@ def cmd_fit(args):
 
 def cmd_predict(args):
     model, metadata = load_model(args.model)
-    _, X = read_dataset(args.x)
-    if X.shape[1] != model.n_features:
+    header, X = read_dataset(args.x)
+    expected = metadata["x_columns"]
+    missing = [name for name in expected if name not in header]
+    unexpected = [name for name in header if name not in expected]
+    if missing or unexpected:
         return _fail(
-            f"expected {model.n_features} predictor columns, found {X.shape[1]}",
+            f"expected {len(expected)} predictor columns, found {len(header)}; "
+            f"missing {missing}, unexpected {unexpected}",
             EXIT_DATA,
         )
+    if header != expected:
+        X = X[:, [header.index(name) for name in expected]]
     predictions = model.predict(X)
     write_matrix_csv(args.out, metadata["y_columns"], predictions)
     print(f"predict rows={X.shape[0]} responses={model.n_responses} out={args.out}")
@@ -157,8 +162,7 @@ def cmd_cv(args):
         raise _UsageError("--seed must be non-negative")
     X, Y, _, _ = _load_xy(args)
     if args.method == "fpqr":
-        tau = _validated_tau(args)
-        recipe = parse_recipe(f"fpqr-{args.metric}@{tau:g}")
+        recipe = parse_recipe(f"fpqr-{args.metric}@{args.tau:g}")
     else:
         recipe = parse_recipe("pls")
     result = cross_validate(X, Y, candidates, folds=args.folds, fitter=recipe, seed=args.seed)
@@ -251,6 +255,7 @@ def build_parser():
     fit = commands.add_parser("fit", help="fit a model and save it")
     _add_data_arguments(fit)
     _add_fit_arguments(fit)
+    fit.add_argument("--components", type=int, default=None)
     fit.add_argument("--out", required=True, help="where to write the model file")
     fit.set_defaults(func=cmd_fit)
 
@@ -262,10 +267,7 @@ def build_parser():
 
     cv = commands.add_parser("cv", help="choose a component count by cross-validation")
     _add_data_arguments(cv)
-    cv.add_argument("--method", choices=("fpqr", "pls"), default="fpqr")
-    cv.add_argument("--metric", choices=("li", "dodge", "choi"), default="li")
-    cv.add_argument("--tau", type=float, default=0.5)
-    cv.add_argument("--center", choices=("mean", "none"), default="mean")
+    _add_fit_arguments(cv)
     cv.add_argument("--components", required=True, help="candidates, e.g. '1..6' or '1,2,4'")
     cv.add_argument("--folds", type=int, default=5)
     cv.add_argument("--seed", type=int, default=0)
@@ -298,8 +300,6 @@ def main(argv=None):
         return _fail(str(exc), EXIT_DATA)
     except (SolverFailure, RankDeficient, np.linalg.LinAlgError) as exc:
         return _fail(str(exc), EXIT_SOLVER)
-    except InvalidSpec as exc:
-        return _fail(str(exc), EXIT_USAGE)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
 

@@ -1,18 +1,16 @@
 """Quantile-linked latent-component regression.
 
-Same deflation loop as the mean-based fit, with two substitutions: the
-component directions come from a quantile dependence metric instead of the
-covariance, and the inner coefficients come from per-response quantile
-regressions on the scores instead of least squares. The result estimates a
-conditional quantile of each response rather than its mean, which keeps
-heavy-tailed response noise from steering the fit.
+The mean-based fit with two substitutions, both handed to the fitting core in
+:mod:`fpqr.pls`: the component directions come from a quantile dependence
+metric instead of the covariance, and the inner coefficients come from
+per-response quantile regressions on the scores instead of least squares. The
+result estimates a conditional quantile of each response rather than its mean,
+which keeps heavy-tailed response noise from steering the fit.
 """
 
 import numpy as np
 
-from .exceptions import DimensionMismatch
-from .linalg import as_matrix, center_columns, least_squares
-from .pls import FittedModel, back_project, extract_components, resolve_components
+from .pls import _fit, _least_squares_inner
 from .qcov import QcovMetric, qcov_matrix
 from .quantreg import fit_quantile_regression, validate_tau
 
@@ -21,6 +19,9 @@ FPQR_METRICS = ("li", "dodge", "choi")
 
 def fit_fpqr(X, Y, n_components=None, tau=0.5, metric="li", center="mean", least_squares_gamma=False):
     """Fit a latent-component model for the ``tau`` conditional quantile.
+
+    This chooses the cross product and the inner fit and hands both to the
+    fitting core that :func:`fit_pls` uses as well.
 
     Parameters
     ----------
@@ -46,65 +47,30 @@ def fit_fpqr(X, Y, n_components=None, tau=0.5, metric="li", center="mean", least
     FittedModel
         With ``tau`` set, so :func:`predict_quantile` accepts it.
     """
-    X = as_matrix(X, "X")
-    Y = as_matrix(Y, "Y")
-    if X.shape[0] != Y.shape[0]:
-        raise DimensionMismatch(f"X has {X.shape[0]} rows, Y has {Y.shape[0]}")
     tau = validate_tau(tau)
-    n, m = X.shape
-    l = Y.shape[1]
-
     if callable(metric):
-        kind = "custom"
-        cross_product = metric
+        kind, cross_product = "custom", metric
     else:
         kind = metric.kind if isinstance(metric, QcovMetric) else str(metric)
-        if kind == "classical":
-            if not least_squares_gamma:
-                raise ValueError(
-                    "the classical covariance reproduces the mean-based fit; "
-                    "use fit_pls, or pass least_squares_gamma=True for the equivalence path"
-                )
-            qm = QcovMetric("classical")
-        elif kind in FPQR_METRICS:
-            qm = QcovMetric(kind, tau)
-        else:
-            raise ValueError(f"unknown metric {metric!r}; expected one of {FPQR_METRICS} or a callable")
+        if kind == "classical" and not least_squares_gamma:
+            raise ValueError(
+                "the classical covariance reproduces the mean-based fit; "
+                "use fit_pls, or pass least_squares_gamma=True for the equivalence path"
+            )
+        qm = QcovMetric(kind, tau)
         cross_product = lambda Xa, Ya: qcov_matrix(Xa, Ya, qm)
 
-    h = resolve_components(n_components, n, m)
-    Xc, x_info = center_columns(X, center)
-    Yc, y_info = center_columns(Y, center)
-    decomposition = extract_components(Xc, Yc, h, cross_product)
-    n_eff = decomposition.n_components
-
-    if least_squares_gamma:
-        if n_eff:
-            gamma = least_squares(decomposition.scores, Yc)
-        else:
-            gamma = np.zeros((0, l))
-        intercepts = np.zeros(l)
-    else:
-        gamma = np.zeros((n_eff, l))
-        intercepts = np.zeros(l)
-        scores = decomposition.scores
-        for k in range(l):
+    def quantile_inner(scores, Yc):
+        gamma = np.zeros((scores.shape[1], Yc.shape[1]))
+        intercepts = np.zeros(Yc.shape[1])
+        for k in range(Yc.shape[1]):
             fit = fit_quantile_regression(scores, Yc[:, k], tau, with_intercept=True)
             gamma[:, k] = fit.coefficients
             intercepts[k] = fit.intercept
+        return gamma, intercepts
 
-    coefficients = back_project(decomposition, gamma, m, l)
-    return FittedModel(
-        decomposition=decomposition,
-        gamma=gamma,
-        intercepts=intercepts,
-        coefficients=coefficients,
-        x_centering=x_info,
-        y_centering=y_info,
-        metric=kind,
-        tau=tau,
-        requested_components=h,
-    )
+    inner = _least_squares_inner if least_squares_gamma else quantile_inner
+    return _fit(X, Y, n_components, center, cross_product, inner, metric=kind, tau=tau)
 
 
 def predict_quantile(model, X):

@@ -13,8 +13,10 @@ import math
 import numpy as np
 
 from .exceptions import DataError, ModelFormatError
-from .linalg import CenteringInfo
+from .linalg import CENTERING_MODES, CenteringInfo
 from .pls import FittedModel, LatentDecomposition
+from .qcov import METRIC_KINDS
+from .quantreg import validate_tau
 
 MODEL_FORMAT_VERSION = 1
 
@@ -26,7 +28,7 @@ def read_dataset(path):
     raises :class:`DataError` naming the file line and column.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             rows = list(csv.reader(handle))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
@@ -128,18 +130,18 @@ def save_model(model, path, x_columns, y_columns):
         handle.write("\n")
 
 
-def _payload_array(payload, key, ndim):
+def _payload_array(payload, key, shape):
+    """The payload field ``key`` as a finite float array; ``None`` in ``shape`` matches any length."""
     try:
         arr = np.asarray(payload[key], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"model payload field {key!r} is missing or malformed") from exc
-    if arr.ndim != ndim:
+    if arr.size == 0 and 0 in shape:
         # An empty nested list loses its trailing dimension in round-trips.
-        if arr.size == 0 and ndim == 2:
-            arr = arr.reshape((0, 0))
-        else:
-            raise ModelFormatError(f"model payload field {key!r} must be {ndim}-d")
-    if arr.size and not np.isfinite(arr).all():
+        arr = arr.reshape(shape)
+    if arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape)):
+        raise ModelFormatError(f"model payload field {key!r} has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
         raise ModelFormatError(f"model payload field {key!r} contains non-finite values")
     return arr
 
@@ -169,32 +171,33 @@ def load_model(path):
     if not isinstance(metadata, dict) or not isinstance(payload, dict):
         raise ModelFormatError(f"{path}: metadata or payload block is missing")
 
-    weights = _payload_array(payload, "weights", 2)
-    x_loadings = _payload_array(payload, "x_loadings", 2)
-    y_loadings = _payload_array(payload, "y_loadings", 2)
-    gamma = _payload_array(payload, "gamma", 2)
-    intercepts = _payload_array(payload, "intercepts", 1)
-    coefficients = _payload_array(payload, "coefficients", 2)
-    x_centers = _payload_array(payload, "x_centers", 1)
-    y_centers = _payload_array(payload, "y_centers", 1)
-
+    coefficients = _payload_array(payload, "coefficients", (None, None))
     m, l = coefficients.shape
-    h = weights.shape[1] if weights.size else gamma.shape[0]
-    consistent = (
-        weights.shape[0] == m or weights.size == 0,
-        x_centers.size == m,
-        y_centers.size == l,
-        intercepts.size == l,
-    )
-    if not all(consistent):
-        raise ModelFormatError(f"{path}: payload shapes are inconsistent")
-    if weights.size == 0:
-        weights = weights.reshape((m, 0))
-        x_loadings = x_loadings.reshape((m, 0))
-        y_loadings = y_loadings.reshape((l, 0))
-        gamma = gamma.reshape((0, l))
+    weights = _payload_array(payload, "weights", (m, None))
+    h = weights.shape[1]
+    x_loadings = _payload_array(payload, "x_loadings", (m, h))
+    y_loadings = _payload_array(payload, "y_loadings", (l, h))
+    gamma = _payload_array(payload, "gamma", (h, l))
+    intercepts = _payload_array(payload, "intercepts", (l,))
+    x_centers = _payload_array(payload, "x_centers", (m,))
+    y_centers = _payload_array(payload, "y_centers", (l,))
 
+    for key, count in (("x_columns", m), ("y_columns", l)):
+        names = metadata.get(key)
+        if not (isinstance(names, list) and all(isinstance(name, str) for name in names)
+                and len(set(names)) == len(names) == count):
+            raise ModelFormatError(f"{path}: metadata {key!r} must list {count} distinct column names")
+    tau = metadata.get("tau")
+    try:
+        tau = None if tau is None else validate_tau(tau)
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: metadata 'tau': {exc}") from None
     center = metadata.get("center", "mean")
+    if center not in CENTERING_MODES:
+        raise ModelFormatError(f"{path}: metadata 'center' {center!r} is not one of {CENTERING_MODES}")
+    metric = metadata.get("metric")
+    if metric not in (None, "custom", *METRIC_KINDS):
+        raise ModelFormatError(f"{path}: metadata 'metric' {metric!r} is not a known metric")
     model = FittedModel(
         decomposition=LatentDecomposition(weights, x_loadings, y_loadings, scores=None),
         gamma=gamma,
@@ -202,8 +205,8 @@ def load_model(path):
         coefficients=coefficients,
         x_centering=CenteringInfo(x_centers, center),
         y_centering=CenteringInfo(y_centers, center),
-        metric=metadata.get("metric"),
-        tau=metadata.get("tau"),
+        metric=metric,
+        tau=tau,
         requested_components=int(metadata.get("requested_components", h)),
     )
     return model, metadata

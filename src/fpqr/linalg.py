@@ -8,8 +8,6 @@ import numpy as np
 from .exceptions import AllZeroCrossProduct, DimensionMismatch, RankDeficient
 
 ZERO_MATRIX_TOL = 1e-14
-_POWER_TOL = 1e-12
-_POWER_MAX_ITER = 10_000
 
 CENTERING_MODES = ("mean", "none")
 
@@ -24,16 +22,6 @@ def as_matrix(a, name="matrix"):
     if not np.isfinite(M).all():
         raise ValueError(f"{name} contains non-finite entries")
     return M
-
-
-def as_vector(a, name="vector"):
-    """Coerce ``a`` to a finite, non-empty 1-d float64 array."""
-    v = np.asarray(a, dtype=np.float64).ravel()
-    if v.size == 0:
-        raise ValueError(f"{name} must be non-empty")
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return v
 
 
 @dataclass(frozen=True)
@@ -67,30 +55,6 @@ def _fix_sign(w):
     if w[idx] < 0:
         return -w
     return w
-
-
-def _dense_leading(A):
-    evals, evecs = np.linalg.eigh(A)
-    return evecs[:, -1], float(evals[-1])
-
-
-def _power_iteration(A):
-    start = A.sum(axis=1)
-    nrm = np.linalg.norm(start)
-    if nrm == 0.0:
-        return _dense_leading(A)
-    v = start / nrm
-    for _ in range(_POWER_MAX_ITER):
-        Av = A @ v
-        nrm = np.linalg.norm(Av)
-        if nrm == 0.0:
-            return _dense_leading(A)
-        v_next = Av / nrm
-        if np.linalg.norm(v_next - v) < _POWER_TOL:
-            return v_next, float(v_next @ (A @ v_next))
-        v = v_next
-    # Slow spectral gap; the dense solve is exact and still cheap here.
-    return _dense_leading(A)
 
 
 def leading_left_singular_vector(S):
@@ -128,7 +92,8 @@ def leading_left_singular_vector(S):
             raise AllZeroCrossProduct("cross-product matrix is numerically zero")
         w = sv / nrm
     else:
-        w, value = _power_iteration(S @ S.T)
+        evals, evecs = np.linalg.eigh(S @ S.T)
+        w, value = evecs[:, -1], float(evals[-1])
     return _fix_sign(w), max(value, 0.0)
 
 

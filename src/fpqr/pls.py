@@ -1,11 +1,14 @@
 """Latent-component regression on the NIPALS pattern.
 
-One extraction loop serves both fitting flavors. Each round takes the leading
+One fitting core (:func:`_fit`) serves both flavors. It validates and centers
+the data, runs the extraction loop, fits the inner coefficients on the scores
+and maps them back to predictor space. Each extraction round takes the leading
 left singular direction of a cross-product matrix between the current
 (deflated) predictor and response blocks, forms a score, and deflates both
-blocks by that score's rank-one contribution. The mean-based fit
-(:func:`fit_pls`) uses the plain cross product; the quantile fit swaps in a
-quantile dependence metric and quantile regression for the inner coefficients.
+blocks by that score's rank-one contribution. The two flavors differ only in
+the two functions they hand the core: the mean-based fit (:func:`fit_pls`)
+uses the plain cross product and least squares; the quantile fit swaps in a
+quantile dependence metric and quantile regression.
 """
 
 import warnings
@@ -164,13 +167,51 @@ def back_project(decomposition, gamma, n_features, n_responses):
         warnings.warn(
             "loading/weight system is ill conditioned; coefficients may be unstable",
             IllConditionedWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     try:
         R = np.linalg.solve(M, gamma)
     except np.linalg.LinAlgError as exc:
         raise RankDeficient(f"loading/weight system is singular: {exc}") from exc
     return decomposition.weights @ R
+
+
+def _least_squares_inner(scores, Yc):
+    """Inner coefficients by least squares on the scores, with zero intercepts."""
+    l = Yc.shape[1]
+    gamma = least_squares(scores, Yc) if scores.shape[1] else np.zeros((0, l))
+    return gamma, np.zeros(l)
+
+
+def _fit(X, Y, n_components, center, cross_product, inner, metric=None, tau=None):
+    """The fitting core shared by :func:`fit_pls` and :func:`fit_fpqr`.
+
+    ``cross_product`` drives :func:`extract_components`; ``inner(scores, Yc)``
+    returns the inner coefficients ``gamma`` (h, l) and the intercepts (l,).
+    ``metric`` and ``tau`` are recorded on the model as given.
+    """
+    X = as_matrix(X, "X")
+    Y = as_matrix(Y, "Y")
+    if X.shape[0] != Y.shape[0]:
+        raise DimensionMismatch(f"X has {X.shape[0]} rows, Y has {Y.shape[0]}")
+    n, m = X.shape
+    l = Y.shape[1]
+    h = resolve_components(n_components, n, m)
+    Xc, x_info = center_columns(X, center)
+    Yc, y_info = center_columns(Y, center)
+    decomposition = extract_components(Xc, Yc, h, cross_product)
+    gamma, intercepts = inner(decomposition.scores, Yc)
+    return FittedModel(
+        decomposition=decomposition,
+        gamma=gamma,
+        intercepts=intercepts,
+        coefficients=back_project(decomposition, gamma, m, l),
+        x_centering=x_info,
+        y_centering=y_info,
+        metric=metric,
+        tau=tau,
+        requested_components=h,
+    )
 
 
 def fit_pls(X, Y, n_components=None, center="mean"):
@@ -190,32 +231,7 @@ def fit_pls(X, Y, n_components=None, center="mean"):
         With ``metric`` and ``tau`` unset; the inner coefficients solve an
         ordinary least-squares problem on the (orthogonal) scores.
     """
-    X = as_matrix(X, "X")
-    Y = as_matrix(Y, "Y")
-    if X.shape[0] != Y.shape[0]:
-        raise DimensionMismatch(f"X has {X.shape[0]} rows, Y has {Y.shape[0]}")
-    n, m = X.shape
-    l = Y.shape[1]
-    h = resolve_components(n_components, n, m)
-    Xc, x_info = center_columns(X, center)
-    Yc, y_info = center_columns(Y, center)
-    decomposition = extract_components(Xc, Yc, h, lambda Xa, Ya: Xa.T @ Ya)
-    if decomposition.n_components:
-        gamma = least_squares(decomposition.scores, Yc)
-    else:
-        gamma = np.zeros((0, l))
-    coefficients = back_project(decomposition, gamma, m, l)
-    return FittedModel(
-        decomposition=decomposition,
-        gamma=gamma,
-        intercepts=np.zeros(l),
-        coefficients=coefficients,
-        x_centering=x_info,
-        y_centering=y_info,
-        metric=None,
-        tau=None,
-        requested_components=h,
-    )
+    return _fit(X, Y, n_components, center, lambda Xa, Ya: Xa.T @ Ya, _least_squares_inner)
 
 
 def predict(model, X):

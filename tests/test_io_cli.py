@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 
 from fpqr import fit_fpqr, fit_pls, load_model, read_dataset, save_model
 from fpqr.cli import main
@@ -86,6 +86,13 @@ class TestReadDataset:
         path.write_text("a\ninf\n")
         with pytest.raises(DataError, match="non-finite"):
             read_dataset(path)
+
+    def test_utf8_bom_is_stripped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufeffa,b\n1,2\n".encode("utf-8"))
+        names, data = read_dataset(path)
+        assert names == ["a", "b"]
+        assert_array_equal(data, [[1.0, 2.0]])
 
 
 class TestSplitResponseColumns:
@@ -170,6 +177,29 @@ class TestModelFile:
         with pytest.raises(ModelFormatError, match="'gamma'"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [
+            ("metadata", "tau", 7),
+            ("metadata", "center", "median"),
+            ("metadata", "metric", "kendall"),
+            ("metadata", "x_columns", ["a", "a", "c"]),
+            ("payload", "gamma", [[1.0, 2.0]]),
+            ("payload", "x_loadings", [[1.0], [2.0], [3.0]]),
+            ("payload", "y_loadings", [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+        ],
+        ids=["tau", "center", "metric", "x_columns", "gamma", "x_loadings", "y_loadings"],
+    )
+    def test_tampered_field_rejected(self, tmp_path, block, key, value):
+        _, model = self.fit_small()
+        path = tmp_path / "model.json"
+        save_model(model, path, ["a", "b", "c"], ["u", "v"])
+        doc = json.loads(path.read_text())
+        doc[block][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
     def test_column_count_validated_on_save(self, tmp_path):
         _, model = self.fit_small()
         with pytest.raises(ValueError, match="x_columns"):
@@ -233,6 +263,30 @@ class TestCliFitPredict:
         assert code == 3
         assert "expected 4 predictor columns, found 1" in captured.err
 
+    def test_predict_aligns_columns_by_name(self, xy_files, tmp_path, capsys):
+        x_path, y_path, X, _ = xy_files
+        model_path = str(tmp_path / "model.json")
+        assert main(["fit", "--x", x_path, "--y", y_path, "--out", model_path]) == 0
+        shuffled = tmp_path / "shuffled.csv"
+        write_csv(shuffled, ["x2", "x0", "x3", "x1"], X[:, [2, 0, 3, 1]].tolist())
+        pred_path = str(tmp_path / "pred.csv")
+        code = main(["predict", "--model", model_path, "--x", str(shuffled), "--out", pred_path])
+        assert code == 0
+        model, _ = load_model(model_path)
+        # The column copy may change BLAS rounding, never more.
+        assert_allclose(read_dataset(pred_path)[1], model.predict(X), rtol=1e-12)
+        capsys.readouterr()
+
+    def test_predict_renamed_columns_is_data_error(self, xy_files, tmp_path, capsys):
+        x_path, y_path, X, _ = xy_files
+        model_path = str(tmp_path / "model.json")
+        assert main(["fit", "--x", x_path, "--y", y_path, "--out", model_path]) == 0
+        renamed = tmp_path / "renamed.csv"
+        write_csv(renamed, ["p", "q", "r", "s"], X.tolist())
+        code = main(["predict", "--model", model_path, "--x", str(renamed), "--out", str(tmp_path / "p.csv")])
+        assert code == 3
+        assert "missing ['x0', 'x1', 'x2', 'x3']" in capsys.readouterr().err
+
     def test_row_count_mismatch_is_data_error(self, tmp_path, capsys):
         x_path = tmp_path / "x.csv"
         y_path = tmp_path / "y.csv"
@@ -282,6 +336,21 @@ class TestCliUsageErrors:
         ])
         assert code == 2
         assert "--tau" in capsys.readouterr().err
+
+    def test_tau_checked_for_pls_too(self, xy_files, tmp_path, capsys):
+        x_path, y_path, _, _ = xy_files
+        code = main([
+            "fit", "--method", "pls", "--x", x_path, "--y", y_path, "--tau", "1.5",
+            "--out", str(tmp_path / "m.json"),
+        ])
+        assert code == 2
+        assert "--tau" in capsys.readouterr().err
+
+    def test_fit_takes_no_seed(self, xy_files, tmp_path, capsys):
+        x_path, y_path, _, _ = xy_files
+        code = main(["fit", "--x", x_path, "--y", y_path, "--seed", "1", "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_bad_candidate_range(self, xy_files, tmp_path, capsys):
         x_path, y_path, _, _ = xy_files
