@@ -55,6 +55,7 @@ from .quantreg import (
     empirical_quantile,
     fit_quantile_regression,
     psi,
+    quantile_slopes,
     validate_tau,
 )
 
@@ -110,6 +111,7 @@ __all__ = [
     "qcov_li",
     "qcov_matrix",
     "quantile_error",
+    "quantile_slopes",
     "read_dataset",
     "run_study",
     "save_model",

@@ -153,13 +153,9 @@ def _parse_candidates(text):
 
 
 def cmd_cv(args):
-    if args.folds < 2:
-        raise _UsageError("--folds must be at least 2")
     candidates = _parse_candidates(args.components)
     if not candidates or min(candidates) < 1:
         raise _UsageError("--components must name counts of at least 1")
-    if args.seed < 0:
-        raise _UsageError("--seed must be non-negative")
     X, Y, _, _ = _load_xy(args)
     if args.method == "fpqr":
         recipe = parse_recipe(f"fpqr-{args.metric}@{args.tau:g}")

@@ -198,6 +198,11 @@ def load_model(path):
     metric = metadata.get("metric")
     if metric not in (None, "custom", *METRIC_KINDS):
         raise ModelFormatError(f"{path}: metadata 'metric' {metric!r} is not a known metric")
+    requested = metadata.get("requested_components", h)
+    if not (isinstance(requested, int) and not isinstance(requested, bool) and h <= requested <= m):
+        raise ModelFormatError(
+            f"{path}: metadata 'requested_components' {requested!r} must be an integer in [{h}, {m}]"
+        )
     model = FittedModel(
         decomposition=LatentDecomposition(weights, x_loadings, y_loadings, scores=None),
         gamma=gamma,
@@ -207,6 +212,6 @@ def load_model(path):
         y_centering=CenteringInfo(y_centers, center),
         metric=metric,
         tau=tau,
-        requested_components=int(metadata.get("requested_components", h)),
+        requested_components=requested,
     )
     return model, metadata

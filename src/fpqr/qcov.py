@@ -9,7 +9,10 @@ Three quantile metrics are provided next to the classical covariance:
 * ``choi``: a symmetrized geometric mean of the two directional ``dodge``
   values (and the matching correlation).
 
-All variance and covariance style quantities are normalized by ``n``.
+All variance and covariance style quantities are normalized by ``n``. The
+slopes behind ``dodge`` and ``choi`` come from one batched call to
+:func:`~fpqr.quantreg.quantile_slopes` per cross product, an exact search
+over pairwise slopes, not one quantile regression per pair.
 """
 
 import warnings
@@ -24,7 +27,7 @@ from .exceptions import (
     ZeroVarianceWarning,
 )
 from .linalg import as_matrix
-from .quantreg import empirical_quantile, fit_quantile_regression, psi, validate_tau
+from .quantreg import empirical_quantile, psi, quantile_slopes, validate_tau
 
 METRIC_KINDS = ("classical", "li", "dodge", "choi")
 _VAR_TOL = 1e-14
@@ -69,66 +72,55 @@ def qcov_li(z1, z2, tau):
     return float(np.mean(psi(z2 - q, tau) * (z1 - z1.mean())))
 
 
-def _slope(x, y, tau):
-    return float(fit_quantile_regression(x[:, None], y, tau).coefficients[0])
-
-
-def _dodge_value(z1, z2, tau, where=""):
-    var1 = float(z1.var())
-    if var1 <= _VAR_TOL:
-        warnings.warn(
-            f"first argument has zero variance{where}; value set to 0",
-            ZeroVarianceWarning,
-            stacklevel=3,
-        )
-        return 0.0
-    return var1 * _slope(z1, z2, tau)
+def _slope_values(kind, X, Y, tau, correlation=False, columns=None):
+    # Dodge or choi values of the column pairs (X[:, i], Y[:, i]). A
+    # degenerate pair warns (at entry (i // columns, i % columns) when
+    # ``columns`` is given) and gets 0.
+    var_x = X.var(axis=0)
+    var_y = Y.var(axis=0)
+    zero = (var_x if kind == "dodge" else np.minimum(var_x, var_y)) <= _VAR_TOL
+    fit = ~zero
+    b21 = np.zeros(X.shape[1])
+    b21[fit] = quantile_slopes(X[:, fit], Y[:, fit], tau)
+    if kind == "dodge":
+        discordant = np.zeros_like(zero)
+        values = var_x * b21
+    else:
+        b12 = np.zeros_like(b21)
+        b12[fit] = quantile_slopes(Y[:, fit], X[:, fit], tau)
+        product = b21 * b12
+        discordant = fit & (product < 0.0)
+        root = product if correlation else (var_x * b21) * (var_y * b12)
+        values = np.sign(b21) * np.sqrt(np.where(discordant, 0.0, root))
+    for i in np.flatnonzero(zero | discordant):
+        where = "" if columns is None else f" at entry ({i // columns}, {i % columns})"
+        if discordant[i]:
+            message, category = "directional quantile slopes disagree in sign", DiscordantSlopesWarning
+        elif kind == "dodge":
+            message, category = "first argument has zero variance", ZeroVarianceWarning
+        else:
+            message, category = "an argument has zero variance", ZeroVarianceWarning
+        warnings.warn(f"{message}{where}; value set to 0", category, stacklevel=3)
+    values[zero | discordant] = 0.0
+    return values
 
 
 def qcov_dodge(z1, z2, tau):
     """Variance of ``z1`` times the quantile slope of ``z2`` regressed on ``z1``."""
     z1, z2 = _pair(z1, z2)
-    tau = validate_tau(tau)
-    return _dodge_value(z1, z2, tau)
-
-
-def _choi_value(z1, z2, tau, correlation, where=""):
-    var1 = float(z1.var())
-    var2 = float(z2.var())
-    if min(var1, var2) <= _VAR_TOL:
-        warnings.warn(
-            f"an argument has zero variance{where}; value set to 0",
-            ZeroVarianceWarning,
-            stacklevel=3,
-        )
-        return 0.0
-    b21 = _slope(z1, z2, tau)
-    b12 = _slope(z2, z1, tau)
-    product = b21 * b12
-    if product < 0.0:
-        warnings.warn(
-            f"directional quantile slopes disagree in sign{where}; value set to 0",
-            DiscordantSlopesWarning,
-            stacklevel=3,
-        )
-        return 0.0
-    if correlation:
-        return float(np.sign(b21) * np.sqrt(product))
-    return float(np.sign(b21) * np.sqrt((var1 * b21) * (var2 * b12)))
+    return float(_slope_values("dodge", z1[:, None], z2[:, None], validate_tau(tau))[0])
 
 
 def qcor_choi(z1, z2, tau):
     """Signed geometric mean of the two directional quantile slopes."""
     z1, z2 = _pair(z1, z2)
-    tau = validate_tau(tau)
-    return _choi_value(z1, z2, tau, correlation=True)
+    return float(_slope_values("choi", z1[:, None], z2[:, None], validate_tau(tau), correlation=True)[0])
 
 
 def qcov_choi(z1, z2, tau):
     """Covariance-scaled version of :func:`qcor_choi`."""
     z1, z2 = _pair(z1, z2)
-    tau = validate_tau(tau)
-    return _choi_value(z1, z2, tau, correlation=False)
+    return float(_slope_values("choi", z1[:, None], z2[:, None], validate_tau(tau))[0])
 
 
 def qcov_matrix(X, Y, metric):
@@ -146,10 +138,11 @@ def qcov_matrix(X, Y, metric):
 
     Notes
     -----
-    The ``li`` kind is computed in one pass of matrix algebra; ``dodge`` and
-    ``choi`` fall back to one univariate quantile regression per column pair
-    (two for ``choi``). Degenerate entries are reported with their ``(j, k)``
-    coordinates and set to 0.
+    The ``li`` kind is computed in one pass of matrix algebra. ``dodge`` and
+    ``choi`` take the quantile slopes of every column pair (both directions
+    for ``choi``) from one batched :func:`~fpqr.quantreg.quantile_slopes`
+    call per direction, with no linear program. Degenerate entries are
+    reported with their ``(j, k)`` coordinates and set to 0.
     """
     if not isinstance(metric, QcovMetric):
         raise TypeError(f"metric must be a QcovMetric, got {type(metric).__name__}")
@@ -174,13 +167,5 @@ def qcov_matrix(X, Y, metric):
         weights = psi(Y - quantiles, tau)
         return (Xc.T @ weights) / n
 
-    values = np.empty((m, l))
-    for j in range(m):
-        xj = X[:, j]
-        for k in range(l):
-            where = f" at entry ({j}, {k})"
-            if metric.kind == "dodge":
-                values[j, k] = _dodge_value(xj, Y[:, k], tau, where)
-            else:
-                values[j, k] = _choi_value(xj, Y[:, k], tau, correlation=False, where=where)
-    return values
+    pairs = _slope_values(metric.kind, np.repeat(X, l, axis=1), np.tile(Y, (1, m)), tau, columns=l)
+    return pairs.reshape(m, l)

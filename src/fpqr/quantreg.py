@@ -1,6 +1,7 @@
 """Linear quantile regression for a single response, solved as the check-loss
-linear program, plus the scalar pieces it is built from (check loss, its
-subgradient weight, empirical quantiles)."""
+linear program; an exact batched search for one-regressor quantile slopes;
+and the scalar pieces both are built from (check loss, its subgradient
+weight, empirical quantiles)."""
 
 import warnings
 from dataclasses import dataclass
@@ -13,8 +14,16 @@ from .exceptions import (
     DegenerateDesignWarning,
     EmptyInput,
     LengthMismatch,
+    ShapeMismatch,
     SolverFailure,
 )
+
+# Most pairwise slopes :func:`quantile_slopes` holds at once; columns are
+# searched in blocks of this many slopes (at least one column per block).
+SLOPE_BLOCK_ENTRIES = 2**16
+# Relative tolerance of the slope search, as a fraction of the
+# intercept-only objective (see :func:`quantile_slopes`).
+_FLAT_RTOL = 1e-12
 
 
 def validate_tau(tau):
@@ -57,11 +66,13 @@ def empirical_quantile(v, tau):
         raise EmptyInput("cannot take a quantile of an empty vector")
     if not np.isfinite(v).all():
         raise ValueError("v contains non-finite entries")
+    return float(np.sort(v)[_quantile_rank(v.size, tau) - 1])
+
+
+def _quantile_rank(n, tau):
     # The small backoff keeps n*tau that is mathematically an integer from
     # rounding up one rank under floating-point error.
-    k = int(np.ceil(v.size * tau - 1e-12))
-    k = min(max(k, 1), v.size)
-    return float(np.sort(v)[k - 1])
+    return min(max(int(np.ceil(n * tau - 1e-12)), 1), n)
 
 
 @dataclass(frozen=True)
@@ -172,3 +183,97 @@ def fit_quantile_regression(X, y, tau, with_intercept=True):
     residuals = y - X @ coefficients - intercept
     objective = float(np.mean(check_loss(residuals, tau)))
     return QrFit(coefficients=coefficients, intercept=intercept, objective=objective, iterations=iterations)
+
+
+def _profiled_loss(x, y, b, tau, k):
+    # Check loss of each row's line with slope b, the intercept profiled out
+    # at the k-th order statistic of the residuals.
+    e = y - b[:, None] * x
+    e -= np.partition(e, k - 1, axis=1)[:, k - 1 : k]
+    return (e * (tau - (e < 0.0))).sum(axis=1)
+
+
+def _block_slopes(x, y, tau, k, i, j):
+    # x, y: one column pair per row; i, j: the row-index pairs i < j.
+    rows = np.arange(x.shape[0])
+    tol = _FLAT_RTOL * _profiled_loss(x, y, np.zeros(rows.size), tau, k)
+    # The objective's slope is at most sum|x - mean(x)| in size, so
+    # breakpoints closer than tol / that cannot differ by more than tol in
+    # objective: they are merged into the smallest of them.
+    spread = np.abs(x - x.mean(axis=1, keepdims=True)).sum(axis=1)
+    gap = np.divide(tol, spread, out=np.zeros_like(tol), where=spread > 0.0)
+    dx = x[:, i] - x[:, j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        breaks = np.where(dx != 0.0, (y[:, i] - y[:, j]) / dx, np.inf)
+        breaks.sort(axis=1)
+        keep = np.isfinite(breaks)
+        keep[:, 1:] &= np.diff(breaks, axis=1) > gap[:, None]
+    points = np.sort(np.where(keep, breaks, np.inf), axis=1)
+    count = keep.sum(axis=1)
+    points[count == 0, 0] = 0.0
+
+    # Bisection for the first breakpoint the next one does not improve on by
+    # more than tol; on a convex sequence that is the smallest minimiser.
+    lo = np.zeros(rows.size, dtype=np.intp)
+    hi = np.maximum(count - 1, 0)
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        nxt = np.minimum(mid + 1, hi)
+        here = _profiled_loss(x, y, points[rows, mid], tau, k)
+        right = _profiled_loss(x, y, points[rows, nxt], tau, k) < here - tol
+        lo = np.where(right, nxt, lo)
+        hi = np.where(right, hi, mid)
+    return points[rows, lo]
+
+
+def quantile_slopes(X, Y, tau):
+    """Exact tau-quantile slope of ``Y[:, j]`` on ``X[:, j]``, with a free
+    intercept, for every column ``j``.
+
+    Parameters
+    ----------
+    X, Y : array, shape (n, c)
+        Paired regressor and response columns, ``n >= 2``.
+    tau : float
+        Quantile level, strictly between 0 and 1.
+
+    Returns
+    -------
+    array, shape (c,)
+
+    Notes
+    -----
+    With the intercept profiled out at the lower empirical quantile of the
+    residuals (the :func:`empirical_quantile` rule), the check loss is convex
+    and piecewise linear in the slope, with breakpoints at the pairwise
+    slopes ``(y_i - y_j) / (x_i - x_j)`` over pairs with ``x_i != x_j``
+    (Koenker & Bassett 1978). Each column's breakpoints are sorted and
+    bisected, all columns of a block in lockstep; no linear program is
+    solved.
+
+    Tie rule: objectives within ``tol = 1e-12`` times the column's
+    intercept-only objective count as equal, and breakpoints too close to
+    change the objective by more than ``tol`` count as one, the smallest of
+    them. The returned slope is the smallest minimising breakpoint under
+    these comparisons, so a flat optimum (possible when ``n * tau`` is an
+    integer or the data are tied) yields its left end. A constant ``X``
+    column has slope 0.
+    """
+    tau = validate_tau(tau)
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if X.ndim != 2 or X.shape != Y.shape:
+        raise ShapeMismatch(f"X and Y must be 2-d arrays of one shape, got {X.shape} and {Y.shape}")
+    n, c = X.shape
+    if n < 2:
+        raise ValueError(f"need at least 2 observations, got {n}")
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise ValueError("X or Y contains non-finite entries")
+    k = _quantile_rank(n, tau)
+    i, j = np.triu_indices(n, 1)
+    block = max(1, SLOPE_BLOCK_ENTRIES // i.size)
+    slopes = np.empty(c)
+    for start in range(0, c, block):
+        cols = slice(start, start + block)
+        slopes[cols] = _block_slopes(X[:, cols].T.copy(), Y[:, cols].T.copy(), tau, k, i, j)
+    return slopes

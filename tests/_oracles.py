@@ -63,6 +63,16 @@ def qr_vertex_search(X, y, tau, with_intercept=True):
     return best_obj, best_params
 
 
+def profiled_slope_objective(x, y, slope, tau):
+    """Mean check loss of the line with this slope and its best intercept.
+
+    The best intercept makes at least one residual zero, so it is found by
+    trying every residual in turn.
+    """
+    r = np.asarray(y, dtype=float) - slope * np.asarray(x, dtype=float)
+    return min(check_loss_mean(r - a, tau) for a in r)
+
+
 def local_minimum_certificate(X, y, tau, coefficients, intercept, eps=1e-6, slack=1e-9):
     """True when no single-coordinate step of size eps lowers the objective."""
     X = np.asarray(X, dtype=float)

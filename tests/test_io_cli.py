@@ -200,6 +200,32 @@ class TestModelFile:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    @pytest.mark.parametrize("value", ["lots", 99, -1, True, 2.5], ids=["text", "99", "-1", "true", "2.5"])
+    def test_requested_components_range_checked(self, tmp_path, capsys, value):
+        X, model = self.fit_small()
+        path = tmp_path / "model.json"
+        save_model(model, path, ["a", "b", "c"], ["u", "v"])
+        doc = json.loads(path.read_text())
+        doc["metadata"]["requested_components"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="requested_components"):
+            load_model(path)
+        x_path = tmp_path / "x.csv"
+        write_csv(x_path, ["a", "b", "c"], X.tolist())
+        code = main(["predict", "--model", str(path), "--x", str(x_path), "--out", str(tmp_path / "p.csv")])
+        assert code == 3
+        assert "requested_components" in capsys.readouterr().err
+
+    def test_requested_components_up_to_feature_count_accepted(self, tmp_path):
+        _, model = self.fit_small()
+        path = tmp_path / "model.json"
+        save_model(model, path, ["a", "b", "c"], ["u", "v"])
+        doc = json.loads(path.read_text())
+        doc["metadata"]["requested_components"] = 3
+        path.write_text(json.dumps(doc))
+        loaded, _ = load_model(path)
+        assert loaded.requested_components == 3
+
     def test_column_count_validated_on_save(self, tmp_path):
         _, model = self.fit_small()
         with pytest.raises(ValueError, match="x_columns"):
@@ -360,6 +386,16 @@ class TestCliUsageErrors:
         ])
         assert code == 2
         assert "range is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [("--folds", "1", "folds"), ("--seed", "-1", "seed")])
+    def test_cv_bad_folds_or_seed_is_usage_error(self, xy_files, tmp_path, capsys, flag, value, message):
+        x_path, y_path, _, _ = xy_files
+        code = main([
+            "cv", "--x", x_path, "--y", y_path, "--components", "1..2", flag, value,
+            "--out", str(tmp_path / "cv.csv"),
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_simulate_error_law_mismatch(self, tmp_path, capsys):
         code = main([

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fpqr import QcovMetric, qcor_choi, qcov_choi, qcov_dodge, qcov_li, qcov_matrix
+from fpqr import QcovMetric, fit_quantile_regression, qcor_choi, qcov_choi, qcov_dodge, qcov_li, qcov_matrix
+from fpqr import quantreg
 from fpqr.exceptions import DiscordantSlopesWarning, LengthMismatch, ZeroVarianceWarning
 
 # A pair whose two directional median-regression slopes disagree in sign.
@@ -140,6 +141,39 @@ class TestQcovMatrix:
             for j in range(3):
                 for k in range(2):
                     assert M[j, k] == pytest.approx(scalar(X[:, j], Y[:, k], tau), abs=1e-10)
+
+    @pytest.mark.filterwarnings("ignore::fpqr.exceptions.DiscordantSlopesWarning")
+    @pytest.mark.parametrize("kind", ["dodge", "choi"])
+    def test_slope_metrics_solve_no_linear_program(self, kind, monkeypatch):
+        calls = []
+        solve = quantreg._solve_lp
+
+        def counting(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(quantreg, "_solve_lp", counting)
+        rng = np.random.default_rng(27)
+        X = rng.normal(size=(15, 4))
+        Y = rng.normal(size=(15, 2))
+        qcov_matrix(X, Y, QcovMetric(kind, tau=0.5))
+        assert calls == []
+        fit_quantile_regression(X[:, :1], Y[:, 0], 0.5)
+        assert calls == [1]  # the counter does see the solver
+
+    @pytest.mark.parametrize("kind", ["dodge", "choi"])
+    def test_degenerate_entries_warn_with_coordinates(self, kind):
+        rng = np.random.default_rng(28)
+        X = rng.normal(size=(10, 3))
+        X[:, 1] = 4.0
+        Y = rng.normal(size=(10, 2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            M = qcov_matrix(X, Y, QcovMetric(kind, tau=0.5))
+        zero_variance = [str(w.message) for w in caught if w.category is ZeroVarianceWarning]
+        assert [m.split(" at entry ")[1] for m in zero_variance] == ["(1, 0); value set to 0", "(1, 1); value set to 0"]
+        assert all(w.filename == __file__ for w in caught)
+        assert (M[1] == 0.0).all()
 
     def test_row_count_mismatch(self):
         from fpqr.exceptions import DimensionMismatch

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
-from fpqr import check_loss, empirical_quantile, fit_quantile_regression, psi
-from fpqr.exceptions import DegenerateDesignWarning, EmptyInput, LengthMismatch
+from fpqr import check_loss, empirical_quantile, fit_quantile_regression, psi, quantile_slopes
+from fpqr import quantreg
+from fpqr.exceptions import DegenerateDesignWarning, EmptyInput, LengthMismatch, ShapeMismatch
 
-from _oracles import check_loss_mean, local_minimum_certificate, qr_vertex_search
+from _oracles import (
+    check_loss_mean,
+    local_minimum_certificate,
+    profiled_slope_objective,
+    qr_vertex_search,
+)
 
 
 class TestCheckLoss:
@@ -188,3 +196,75 @@ class TestFitQuantileRegression:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             fit_quantile_regression(np.ones((3, 1)), [1.0, np.inf, 2.0], 0.5)
+
+
+class TestQuantileSlopes:
+    @pytest.mark.parametrize("tau", [0.1, 0.25, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [5, 8, 20, 60])
+    def test_matches_linear_program_on_random_data(self, n, tau):
+        rng = np.random.default_rng(n + int(100 * tau))
+        X = rng.normal(size=(n, 12))
+        Y = X * rng.uniform(-1.0, 2.0, size=12) + rng.standard_t(2, size=(n, 12))
+        for A, B in ((X, Y), (Y, X)):
+            lp = [fit_quantile_regression(A[:, [c]], B[:, c], tau).coefficients[0] for c in range(12)]
+            assert_allclose(quantile_slopes(A, B, tau), lp, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("tau", [0.25, 0.5, 0.75, 0.3])
+    def test_reaches_vertex_optimum_on_tied_integer_data(self, tau):
+        rng = np.random.default_rng(int(100 * tau))
+        for trial in range(25):
+            n = int(rng.integers(4, 11))
+            x = rng.integers(-2, 3, size=n).astype(float)
+            x[-1] = x[0]  # at least one duplicated x
+            y = rng.integers(-3, 4, size=n).astype(float)
+            if np.ptp(x) == 0:
+                continue
+            slope = quantile_slopes(x[:, None], y[:, None], tau)[0]
+            oracle, _ = qr_vertex_search(x, y, tau)
+            assert profiled_slope_objective(x, y, slope, tau) == pytest.approx(oracle, abs=1e-12), trial
+
+    def test_flat_optimum_takes_smallest_minimiser(self):
+        # Two groups of x; at tau = 0.5 with n = 6 (n * tau an integer) every
+        # slope in [1, 3] is optimal, and the rule picks the left end.
+        x = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
+        y = np.array([0.0, 1.0, 3.0, 1.0, 4.0, 2.0])
+        objectives = [profiled_slope_objective(x, y, b, 0.5) for b in (0.5, 1.0, 2.0, 3.0, 3.5)]
+        assert objectives[1] == objectives[2] == objectives[3] < min(objectives[0], objectives[4])
+        assert quantile_slopes(x[:, None], y[:, None], 0.5)[0] == 1.0
+
+    def test_constant_regressor_has_zero_slope(self):
+        x = np.full(7, 2.5)
+        y = np.arange(7.0)
+        assert quantile_slopes(x[:, None], y[:, None], 0.4)[0] == 0.0
+
+    def test_blocks_do_not_change_the_result(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        X = rng.normal(size=(10, 9))
+        Y = X + rng.normal(size=(10, 9))
+        whole = quantile_slopes(X, Y, 0.3)
+        for entries in (1, 100, 200):
+            monkeypatch.setattr(quantreg, "SLOPE_BLOCK_ENTRIES", entries)
+            assert_array_equal(quantile_slopes(X, Y, 0.3), whole)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ShapeMismatch):
+            quantile_slopes(np.ones((4, 2)), np.ones((4, 3)), 0.5)
+
+    @pytest.mark.filterwarnings("ignore::fpqr.exceptions.DegenerateDesignWarning")
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(-6, 6).map(float), st.floats(-10, 10).map(lambda v: round(v, 3))),
+                st.one_of(st.integers(-6, 6).map(float), st.floats(-10, 10).map(lambda v: round(v, 3))),
+            ),
+            min_size=3,
+            max_size=15,
+        ),
+        st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]),
+    )
+    def test_objective_never_exceeds_the_linear_program(self, points, tau):
+        x, y = (np.array(column) for column in zip(*points))
+        slope = quantile_slopes(x[:, None], y[:, None], tau)[0]
+        lp = fit_quantile_regression(x[:, None], y, tau).objective
+        assert profiled_slope_objective(x, y, slope, tau) <= lp + 1e-9 * (1.0 + lp)
