@@ -55,7 +55,6 @@ from .quantreg import (
     empirical_quantile,
     fit_quantile_regression,
     psi,
-    quantile_slopes,
     validate_tau,
 )
 
@@ -111,7 +110,6 @@ __all__ = [
     "qcov_li",
     "qcov_matrix",
     "quantile_error",
-    "quantile_slopes",
     "read_dataset",
     "run_study",
     "save_model",

@@ -11,8 +11,8 @@ Three quantile metrics are provided next to the classical covariance:
 
 All variance and covariance style quantities are normalized by ``n``. The
 slopes behind ``dodge`` and ``choi`` come from one batched call to
-:func:`~fpqr.quantreg.quantile_slopes` per cross product, an exact search
-over pairwise slopes, not one quantile regression per pair.
+:func:`~fpqr.quantreg.quantile_slopes` per direction, an exact search along
+the check loss's slope, not one quantile regression per pair.
 """
 
 import warnings
@@ -72,28 +72,31 @@ def qcov_li(z1, z2, tau):
     return float(np.mean(psi(z2 - q, tau) * (z1 - z1.mean())))
 
 
-def _slope_values(kind, X, Y, tau, correlation=False, columns=None):
-    # Dodge or choi values of the column pairs (X[:, i], Y[:, i]). A
-    # degenerate pair warns (at entry (i // columns, i % columns) when
-    # ``columns`` is given) and gets 0.
-    var_x = X.var(axis=0)
-    var_y = Y.var(axis=0)
+def _slope_values(kind, X, Y, tau, correlation=False, coordinates=False):
+    # Dodge or choi values between every column of X and every column of Y,
+    # flattened row-major. A degenerate pair warns (naming its (j, k) entry
+    # when ``coordinates`` is set) and gets 0.
+    m, l = X.shape[1], Y.shape[1]
+    jx = np.repeat(np.arange(m), l)
+    jy = np.tile(np.arange(l), m)
+    var_x = X.var(axis=0)[jx]
+    var_y = Y.var(axis=0)[jy]
     zero = (var_x if kind == "dodge" else np.minimum(var_x, var_y)) <= _VAR_TOL
     fit = ~zero
-    b21 = np.zeros(X.shape[1])
-    b21[fit] = quantile_slopes(X[:, fit], Y[:, fit], tau)
+    b21 = np.zeros(m * l)
+    b21[fit] = quantile_slopes(X, Y, tau, jx[fit], jy[fit])
     if kind == "dodge":
         discordant = np.zeros_like(zero)
         values = var_x * b21
     else:
         b12 = np.zeros_like(b21)
-        b12[fit] = quantile_slopes(Y[:, fit], X[:, fit], tau)
+        b12[fit] = quantile_slopes(Y, X, tau, jy[fit], jx[fit])
         product = b21 * b12
         discordant = fit & (product < 0.0)
         root = product if correlation else (var_x * b21) * (var_y * b12)
         values = np.sign(b21) * np.sqrt(np.where(discordant, 0.0, root))
     for i in np.flatnonzero(zero | discordant):
-        where = "" if columns is None else f" at entry ({i // columns}, {i % columns})"
+        where = f" at entry ({jx[i]}, {jy[i]})" if coordinates else ""
         if discordant[i]:
             message, category = "directional quantile slopes disagree in sign", DiscordantSlopesWarning
         elif kind == "dodge":
@@ -167,5 +170,4 @@ def qcov_matrix(X, Y, metric):
         weights = psi(Y - quantiles, tau)
         return (Xc.T @ weights) / n
 
-    pairs = _slope_values(metric.kind, np.repeat(X, l, axis=1), np.tile(Y, (1, m)), tau, columns=l)
-    return pairs.reshape(m, l)
+    return _slope_values(metric.kind, X, Y, tau, coordinates=True).reshape(m, l)

@@ -14,16 +14,20 @@ from .exceptions import (
     DegenerateDesignWarning,
     EmptyInput,
     LengthMismatch,
-    ShapeMismatch,
     SolverFailure,
 )
 
-# Most pairwise slopes :func:`quantile_slopes` holds at once; columns are
-# searched in blocks of this many slopes (at least one column per block).
+# Most values :func:`quantile_slopes` holds at once: all pairwise slopes of
+# a block of column pairs while one pair's fit in it, else rows times pairs.
 SLOPE_BLOCK_ENTRIES = 2**16
-# Relative tolerance of the slope search, as a fraction of the
-# intercept-only objective (see :func:`quantile_slopes`).
+# Flat-loss tolerance of the slope search, per unit of slope, as a fraction
+# of sum(|x - mean(x)|) (see :func:`quantile_slopes`).
 _FLAT_RTOL = 1e-12
+# The slope bisection hands over to a walk over breakpoints once its bracket
+# is this fraction of the largest slope magnitude.
+_BRACKET_RTOL = 2.0**-40
+# Residuals this many machine epsilons of the data scale apart count as tied.
+_TIE_EPS = 8 * np.finfo(float).eps
 
 
 def validate_tau(tau):
@@ -185,95 +189,169 @@ def fit_quantile_regression(X, y, tau, with_intercept=True):
     return QrFit(coefficients=coefficients, intercept=intercept, objective=objective, iterations=iterations)
 
 
-def _profiled_loss(x, y, b, tau, k):
-    # Check loss of each row's line with slope b, the intercept profiled out
-    # at the k-th order statistic of the residuals.
+def _right_rate(x, y, b, tau, k):
+    # Right derivative of each row's profiled check loss at slope b, and the
+    # point the profiled intercept follows just right of b. Just right of b
+    # the residuals keep their order, except that residuals equal at b (up to
+    # a few units of rounding) order by decreasing x.
     e = y - b[:, None] * x
-    e -= np.partition(e, k - 1, axis=1)[:, k - 1 : k]
-    return (e * (tau - (e < 0.0))).sum(axis=1)
-
-
-def _block_slopes(x, y, tau, k, i, j):
-    # x, y: one column pair per row; i, j: the row-index pairs i < j.
     rows = np.arange(x.shape[0])
-    tol = _FLAT_RTOL * _profiled_loss(x, y, np.zeros(rows.size), tau, k)
-    # The objective's slope is at most sum|x - mean(x)| in size, so
-    # breakpoints closer than tol / that cannot differ by more than tol in
-    # objective: they are merged into the smallest of them.
-    spread = np.abs(x - x.mean(axis=1, keepdims=True)).sum(axis=1)
-    gap = np.divide(tol, spread, out=np.zeros_like(tol), where=spread > 0.0)
-    dx = x[:, i] - x[:, j]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        breaks = np.where(dx != 0.0, (y[:, i] - y[:, j]) / dx, np.inf)
-        breaks.sort(axis=1)
-        keep = np.isfinite(breaks)
-        keep[:, 1:] &= np.diff(breaks, axis=1) > gap[:, None]
-    points = np.sort(np.where(keep, breaks, np.inf), axis=1)
-    count = keep.sum(axis=1)
-    points[count == 0, 0] = 0.0
+    kth = np.partition(e, k - 1, axis=1)[:, k - 1 : k]
+    slack = _TIE_EPS * (np.abs(y).max(axis=1) + np.abs(b) * np.abs(x).max(axis=1))[:, None]
+    below = e < kth - slack
+    tied = ~below & (e <= kth + slack)
+    p = np.argmax(tied, axis=1)
+    many = np.flatnonzero(tied.sum(axis=1) > 1)
+    if many.size:
+        order = np.argsort(np.where(tied[many], -x[many], np.inf), axis=1, kind="stable")
+        p[many] = order[np.arange(many.size), k - 1 - below[many].sum(axis=1)]
+    xp = x[rows, p][:, None]
+    below |= tied & (x > xp)
+    return ((x - xp) * (below - tau)).sum(axis=1), p
 
-    # Bisection for the first breakpoint the next one does not improve on by
-    # more than tol; on a convex sequence that is the smallest minimiser.
+
+def _slope_range(x, y):
+    # Smallest and largest pairwise slope of each row (NaN for a constant x).
+    # Any pairwise slope is a weighted mean of slopes between neighbouring
+    # distinct x values, so both extremes are found there: the smallest pairs
+    # the largest y at one x with the smallest y at the next, and the largest
+    # the other way round.
+    ends = []
+    for key in (y, -y):
+        order = np.lexsort((key, x))
+        xs = np.take_along_axis(x, order, axis=1)
+        ys = np.take_along_axis(y, order, axis=1)
+        dx = np.diff(xs, axis=1)
+        ends.append(np.divide(np.diff(ys, axis=1), dx, out=np.full_like(dx, np.nan), where=dx > 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN rows
+        return np.nanmin(ends[0], axis=1), np.nanmax(ends[1], axis=1)
+
+
+def _steep(x):
+    # Right derivatives above this count as flat (see the tie rule).
+    return -_FLAT_RTOL * np.abs(x - x.mean(axis=1, keepdims=True)).sum(axis=1)
+
+
+def _listed_slopes(x, y, tau, k, i, j):
+    # x, y: one column pair per row; i, j: the row-index pairs i < j. Every
+    # pairwise slope is listed and sorted, then bisected for the first one
+    # whose right derivative is not steep.
+    rows = np.arange(x.shape[0])
+    steep = _steep(x)
+    dx = x[:, i] - x[:, j]
+    points = np.sort(np.divide(y[:, i] - y[:, j], dx, out=np.full_like(dx, np.inf), where=dx != 0.0), axis=1)
+    count = np.isfinite(points).sum(axis=1)
+    points[count == 0, 0] = 0.0
     lo = np.zeros(rows.size, dtype=np.intp)
     hi = np.maximum(count - 1, 0)
     while (lo < hi).any():
+        open_ = lo < hi
         mid = (lo + hi) // 2
-        nxt = np.minimum(mid + 1, hi)
-        here = _profiled_loss(x, y, points[rows, mid], tau, k)
-        right = _profiled_loss(x, y, points[rows, nxt], tau, k) < here - tol
-        lo = np.where(right, nxt, lo)
-        hi = np.where(right, hi, mid)
+        falls = _right_rate(x, y, points[rows, mid], tau, k)[0] < steep
+        lo = np.where(open_ & falls, mid + 1, lo)
+        hi = np.where(open_ & ~falls, mid, hi)
     return points[rows, lo]
 
 
-def quantile_slopes(X, Y, tau):
-    """Exact tau-quantile slope of ``Y[:, j]`` on ``X[:, j]``, with a free
-    intercept, for every column ``j``.
+def _searched_slopes(x, y, tau, k):
+    # x, y: one column pair per row; nothing larger is built.
+    rows = np.arange(x.shape[0])
+    low, high = _slope_range(x, y)
+    constant = np.isnan(low)
+    low[constant] = high[constant] = 0.0
+    steep = _steep(x)
+    rate, tracked = _right_rate(x, y, low, tau, k)
+    past_low = ~constant & (rate < steep)
 
-    Parameters
-    ----------
-    X, Y : array, shape (n, c)
-        Paired regressor and response columns, ``n >= 2``.
-    tau : float
-        Quantile level, strictly between 0 and 1.
+    # Bisection on the right derivative, which never decreases: the answer
+    # stays in (left, right], and the loss falls steeply just right of left.
+    left, right = low.copy(), high.copy()
+    width = _BRACKET_RTOL * np.maximum(np.abs(low), np.abs(high))
+    searching = past_low & (right - left > width)
+    while searching.any():
+        mid = 0.5 * (left + right)
+        rate, p = _right_rate(x, y, mid, tau, k)
+        falls = searching & (rate < steep)
+        left = np.where(falls, mid, left)
+        tracked = np.where(falls, p, tracked)
+        right = np.where(searching & ~falls, mid, right)
+        searching = past_low & (right - left > width)
 
-    Returns
-    -------
-    array, shape (c,)
+    # Walk right over breakpoints: from left the loss is linear up to the
+    # first pairwise slope through the tracked point, where the right
+    # derivative says whether to stop.
+    slopes = np.where(constant, 0.0, low)
+    walking = past_low
+    while walking.any():
+        dx = x - x[rows, tracked][:, None]
+        dy = y - y[rows, tracked][:, None]
+        through = np.divide(dy, dx, out=np.full_like(dx, -np.inf), where=dx != 0.0)
+        step = np.min(np.where(through > left[:, None], through, np.inf), axis=1)
+        step = np.where(np.isfinite(step), step, high)
+        rate, p = _right_rate(x, y, step, tau, k)
+        stop = walking & ((rate >= steep) | (step >= high))
+        slopes = np.where(stop, step, slopes)
+        walking &= ~stop
+        left = np.where(walking, step, left)
+        tracked = np.where(walking, p, tracked)
+    return slopes
 
-    Notes
-    -----
+
+def quantile_slopes(X, Y, tau, x_columns, y_columns):
+    """Exact tau-quantile slope, with a free intercept, of ``Y[:, y_columns[i]]``
+    on ``X[:, x_columns[i]]`` for every ``i``.
+
+    ``X`` and ``Y`` are finite arrays with one row count ``n >= 2``; callers
+    check that. Returns an array of ``len(x_columns)`` slopes.
+
     With the intercept profiled out at the lower empirical quantile of the
     residuals (the :func:`empirical_quantile` rule), the check loss is convex
-    and piecewise linear in the slope, with breakpoints at the pairwise
+    and piecewise linear in the slope, with breakpoints among the pairwise
     slopes ``(y_i - y_j) / (x_i - x_j)`` over pairs with ``x_i != x_j``
-    (Koenker & Bassett 1978). Each column's breakpoints are sorted and
-    bisected, all columns of a block in lockstep; no linear program is
-    solved.
+    (Koenker & Bassett 1978). Both searches below bisect on the loss's
+    right derivative, which costs one partition and one O(n) sum per step
+    and never decreases; all pairs of a block move in lockstep, and no
+    linear program is solved.
 
-    Tie rule: objectives within ``tol = 1e-12`` times the column's
-    intercept-only objective count as equal, and breakpoints too close to
-    change the objective by more than ``tol`` count as one, the smallest of
-    them. The returned slope is the smallest minimising breakpoint under
-    these comparisons, so a flat optimum (possible when ``n * tau`` is an
-    integer or the data are tied) yields its left end. A constant ``X``
-    column has slope 0.
+    * While one pair's ``n * (n - 1) / 2`` pairwise slopes fit in
+      ``SLOPE_BLOCK_ENTRIES``, they are listed and sorted, and the bisection
+      runs over that list, in blocks of as many pairs as fit.
+    * Past that, nothing of size ``n**2`` is built: the bisection runs on
+      slope values between the smallest and the largest pairwise slope, then
+      walks right over the pairwise slopes through the point the profiled
+      intercept follows. Memory is O(n) per pair, in blocks of
+      ``SLOPE_BLOCK_ENTRIES // n`` pairs (at least one).
+
+    Both give the same slope. Residuals within a few units of rounding of
+    each other count as equal.
+
+    Tie rule: a loss that falls by less than ``1e-12 * sum(|x - mean(x)|)``
+    per unit of slope counts as flat. The returned slope is the smallest
+    breakpoint past which the loss no longer falls by more than that, so a
+    flat optimum (possible when ``n * tau`` is an integer or the data are
+    tied) yields its left end. A constant regressor has slope 0.
     """
-    tau = validate_tau(tau)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.ndim != 2 or X.shape != Y.shape:
-        raise ShapeMismatch(f"X and Y must be 2-d arrays of one shape, got {X.shape} and {Y.shape}")
-    n, c = X.shape
-    if n < 2:
-        raise ValueError(f"need at least 2 observations, got {n}")
-    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-        raise ValueError("X or Y contains non-finite entries")
+    n = X.shape[0]
     k = _quantile_rank(n, tau)
-    i, j = np.triu_indices(n, 1)
-    block = max(1, SLOPE_BLOCK_ENTRIES // i.size)
-    slopes = np.empty(c)
-    for start in range(0, c, block):
-        cols = slice(start, start + block)
-        slopes[cols] = _block_slopes(X[:, cols].T.copy(), Y[:, cols].T.copy(), tau, k, i, j)
+    x_columns = np.asarray(x_columns, dtype=np.intp)
+    y_columns = np.asarray(y_columns, dtype=np.intp)
+    listed = n * (n - 1) // 2
+    if listed <= SLOPE_BLOCK_ENTRIES:
+        i, j = np.triu_indices(n, 1)
+        block = SLOPE_BLOCK_ENTRIES // listed
+
+        def search(x, y):
+            return _listed_slopes(x, y, tau, k, i, j)
+
+    else:
+        block = max(1, SLOPE_BLOCK_ENTRIES // n)
+
+        def search(x, y):
+            return _searched_slopes(x, y, tau, k)
+
+    slopes = np.empty(x_columns.size)
+    for start in range(0, x_columns.size, block):
+        part = slice(start, start + block)
+        slopes[part] = search(X[:, x_columns[part]].T.copy(), Y[:, y_columns[part]].T.copy())
     return slopes

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fpqr import check_loss, empirical_quantile, fit_quantile_regression, psi, quantile_slopes
+from fpqr import check_loss, empirical_quantile, fit_quantile_regression, psi
 from fpqr import quantreg
-from fpqr.exceptions import DegenerateDesignWarning, EmptyInput, LengthMismatch, ShapeMismatch
+from fpqr.exceptions import DegenerateDesignWarning, EmptyInput, LengthMismatch
 
 from _oracles import (
     check_loss_mean,
@@ -198,6 +198,11 @@ class TestFitQuantileRegression:
             fit_quantile_regression(np.ones((3, 1)), [1.0, np.inf, 2.0], 0.5)
 
 
+def paired_slopes(X, Y, tau):
+    columns = np.arange(X.shape[1])
+    return quantreg.quantile_slopes(X, Y, tau, columns, columns)
+
+
 class TestQuantileSlopes:
     @pytest.mark.parametrize("tau", [0.1, 0.25, 0.5, 0.9])
     @pytest.mark.parametrize("n", [5, 8, 20, 60])
@@ -207,7 +212,7 @@ class TestQuantileSlopes:
         Y = X * rng.uniform(-1.0, 2.0, size=12) + rng.standard_t(2, size=(n, 12))
         for A, B in ((X, Y), (Y, X)):
             lp = [fit_quantile_regression(A[:, [c]], B[:, c], tau).coefficients[0] for c in range(12)]
-            assert_allclose(quantile_slopes(A, B, tau), lp, rtol=0, atol=1e-10)
+            assert_allclose(paired_slopes(A, B, tau), lp, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("tau", [0.25, 0.5, 0.75, 0.3])
     def test_reaches_vertex_optimum_on_tied_integer_data(self, tau):
@@ -219,7 +224,7 @@ class TestQuantileSlopes:
             y = rng.integers(-3, 4, size=n).astype(float)
             if np.ptp(x) == 0:
                 continue
-            slope = quantile_slopes(x[:, None], y[:, None], tau)[0]
+            slope = paired_slopes(x[:, None], y[:, None], tau)[0]
             oracle, _ = qr_vertex_search(x, y, tau)
             assert profiled_slope_objective(x, y, slope, tau) == pytest.approx(oracle, abs=1e-12), trial
 
@@ -230,25 +235,54 @@ class TestQuantileSlopes:
         y = np.array([0.0, 1.0, 3.0, 1.0, 4.0, 2.0])
         objectives = [profiled_slope_objective(x, y, b, 0.5) for b in (0.5, 1.0, 2.0, 3.0, 3.5)]
         assert objectives[1] == objectives[2] == objectives[3] < min(objectives[0], objectives[4])
-        assert quantile_slopes(x[:, None], y[:, None], 0.5)[0] == 1.0
+        assert paired_slopes(x[:, None], y[:, None], 0.5)[0] == 1.0
 
     def test_constant_regressor_has_zero_slope(self):
         x = np.full(7, 2.5)
         y = np.arange(7.0)
-        assert quantile_slopes(x[:, None], y[:, None], 0.4)[0] == 0.0
+        assert paired_slopes(x[:, None], y[:, None], 0.4)[0] == 0.0
 
     def test_blocks_do_not_change_the_result(self, monkeypatch):
         rng = np.random.default_rng(31)
         X = rng.normal(size=(10, 9))
         Y = X + rng.normal(size=(10, 9))
-        whole = quantile_slopes(X, Y, 0.3)
-        for entries in (1, 100, 200):
+        whole = paired_slopes(X, Y, 0.3)
+        for entries in (45, 100, 200):  # 1, 2 and 4 listed pairs per block
             monkeypatch.setattr(quantreg, "SLOPE_BLOCK_ENTRIES", entries)
-            assert_array_equal(quantile_slopes(X, Y, 0.3), whole)
+            assert_array_equal(paired_slopes(X, Y, 0.3), whole)
 
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ShapeMismatch):
-            quantile_slopes(np.ones((4, 2)), np.ones((4, 3)), 0.5)
+    @pytest.mark.parametrize("tau", [0.25, 0.5, 0.7])
+    def test_search_without_listing_agrees(self, tau, monkeypatch):
+        # Below the cap every pairwise slope is listed; a cap of 1 forces the
+        # search that lists none, which must give the same slopes.
+        rng = np.random.default_rng(int(100 * tau))
+        X = np.vstack([rng.normal(size=(30, 8)), rng.integers(-3, 4, size=(30, 8))])
+        Y = np.vstack([X[:30] + rng.standard_t(2, size=(30, 8)), rng.integers(-3, 4, size=(30, 8))])
+        for rows in (slice(0, 30), slice(30, 60), slice(0, 7)):
+            listed = paired_slopes(X[rows], Y[rows], tau)
+            monkeypatch.setattr(quantreg, "SLOPE_BLOCK_ENTRIES", 1)
+            assert_array_equal(paired_slopes(X[rows], Y[rows], tau), listed)
+            monkeypatch.undo()
+
+    def test_pairs_index_the_columns(self):
+        rng = np.random.default_rng(32)
+        X = rng.normal(size=(12, 3))
+        Y = rng.normal(size=(12, 2))
+        got = quantreg.quantile_slopes(X, Y, 0.6, [2, 0, 2], [1, 1, 0])
+        want = [paired_slopes(X[:, [a]], Y[:, [b]], 0.6)[0] for a, b in ((2, 1), (0, 1), (2, 0))]
+        assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("tau", [0.2, 0.5])
+    def test_thousands_of_rows(self, tau):
+        # A few thousand rows: the pairwise slopes (millions) are never
+        # listed, and the result still matches the linear program.
+        rng = np.random.default_rng(33)
+        x = rng.normal(size=3000)
+        y = 0.5 * x + rng.standard_t(3, size=3000)
+        slope = paired_slopes(x[:, None], y[:, None], tau)[0]
+        fit = fit_quantile_regression(x[:, None], y, tau)
+        assert slope == pytest.approx(fit.coefficients[0], abs=1e-9)
+        assert profiled_slope_objective(x, y, slope, tau) <= fit.objective + 1e-12
 
     @pytest.mark.filterwarnings("ignore::fpqr.exceptions.DegenerateDesignWarning")
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -265,6 +299,6 @@ class TestQuantileSlopes:
     )
     def test_objective_never_exceeds_the_linear_program(self, points, tau):
         x, y = (np.array(column) for column in zip(*points))
-        slope = quantile_slopes(x[:, None], y[:, None], tau)[0]
+        slope = paired_slopes(x[:, None], y[:, None], tau)[0]
         lp = fit_quantile_regression(x[:, None], y, tau).objective
         assert profiled_slope_objective(x, y, slope, tau) <= lp + 1e-9 * (1.0 + lp)
