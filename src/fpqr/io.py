@@ -9,12 +9,13 @@ representation, so reloading reproduces predictions exactly.
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 
-from .exceptions import DataError, ModelFormatError
+from .exceptions import DataError, IllConditionedWarning, ModelFormatError, RankDeficient
 from .linalg import CENTERING_MODES, CenteringInfo
-from .pls import FittedModel, LatentDecomposition
+from .pls import FittedModel, LatentDecomposition, back_project
 from .qcov import METRIC_KINDS
 from .quantreg import validate_tau
 
@@ -146,11 +147,33 @@ def _payload_array(payload, key, shape):
     return arr
 
 
+def _check_coefficients(path, decomposition, gamma, coefficients):
+    """Raise unless ``coefficients`` is what :func:`back_project` makes of the stored W, P and gamma."""
+    m, l = coefficients.shape
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        try:
+            expected = back_project(decomposition, gamma, m, l)
+        except RankDeficient as exc:
+            raise ModelFormatError(f"{path}: model payload loadings and weights are singular: {exc}") from None
+    # Another build may round the solve differently, by up to a small multiple
+    # of machine epsilon times the condition number of P.T @ W.
+    cond = np.linalg.cond(decomposition.x_loadings.T @ decomposition.weights) if decomposition.n_components else 1.0
+    rtol = 1e-9 + 100 * np.finfo(float).eps * cond
+    scale = max(np.abs(expected).max(initial=0.0), np.abs(coefficients).max(initial=0.0))
+    if np.abs(expected - coefficients).max(initial=0.0) > rtol * scale:
+        raise ModelFormatError(
+            f"{path}: model payload field 'coefficients' disagrees with weights, x_loadings and gamma"
+        )
+
+
 def load_model(path):
     """Load a model written by :func:`save_model`.
 
     Returns ``(model, metadata)``. Any version other than
-    ``MODEL_FORMAT_VERSION`` is rejected.
+    ``MODEL_FORMAT_VERSION`` is rejected, and so are stored coefficients
+    that :func:`~fpqr.pls.back_project` does not reproduce from the stored
+    weights, x-loadings and inner coefficients.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -203,8 +226,10 @@ def load_model(path):
         raise ModelFormatError(
             f"{path}: metadata 'requested_components' {requested!r} must be an integer in [{h}, {m}]"
         )
+    decomposition = LatentDecomposition(weights, x_loadings, y_loadings, scores=None)
+    _check_coefficients(path, decomposition, gamma, coefficients)
     model = FittedModel(
-        decomposition=LatentDecomposition(weights, x_loadings, y_loadings, scores=None),
+        decomposition=decomposition,
         gamma=gamma,
         intercepts=intercepts,
         coefficients=coefficients,

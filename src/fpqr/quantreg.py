@@ -1,13 +1,13 @@
-"""Linear quantile regression for a single response, solved as the check-loss
-linear program; an exact batched search for one-regressor quantile slopes;
-and the scalar pieces both are built from (check loss, its subgradient
-weight, empirical quantiles)."""
+"""Linear quantile regression for a single response, solved as the dual of
+the check-loss linear program (one bounded variable per observation, one
+equality constraint per parameter); an exact batched search for one-regressor
+quantile slopes; and the scalar pieces both are built from (check loss, its
+subgradient weight, empirical quantiles)."""
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import linprog
 
 from .exceptions import (
@@ -94,17 +94,15 @@ class QrFit:
 
 
 def _solve_lp(D, y, tau):
-    # Split the residual into positive and negative parts; the check loss is
-    # then linear: minimize tau*sum(u) + (1-tau)*sum(v) with D@b + u - v = y.
-    n, k = D.shape
-    c = np.concatenate([np.zeros(k), np.full(n, tau), np.full(n, 1.0 - tau)])
-    eye = sparse.eye(n, format="csc")
-    A = sparse.hstack([sparse.csc_matrix(D), eye, -eye], format="csc")
-    bounds = [(None, None)] * k + [(0.0, None)] * (2 * n)
-    res = linprog(c, A_eq=A, b_eq=y, bounds=bounds, method="highs")
+    # The dual of the check-loss program (Koenker & Bassett 1978): maximize
+    # y @ a subject to D.T @ a = 0 and tau - 1 <= a <= tau. It has one box-
+    # bounded variable per row and one constraint per parameter, and the
+    # coefficients are the multipliers of those constraints (the sign flips
+    # because linprog minimizes -y @ a).
+    res = linprog(-y, A_eq=D.T, b_eq=np.zeros(D.shape[1]), bounds=(tau - 1.0, tau), method="highs")
     if not res.success:
         raise SolverFailure(f"quantile-regression program did not solve: {res.message}")
-    return res.x[:k], int(res.nit)
+    return -res.eqlin.marginals, int(res.nit)
 
 
 def fit_quantile_regression(X, y, tau, with_intercept=True):
@@ -129,6 +127,14 @@ def fit_quantile_regression(X, y, tau, with_intercept=True):
 
     Notes
     -----
+    The fit solves the dual of the check-loss program (Koenker & Bassett
+    1978) with HiGHS: maximize ``y @ a`` subject to ``D.T @ a = 0`` and
+    ``tau - 1 <= a <= tau``, where ``D`` stacks the predictor columns and
+    the intercept column. That program has one box-bounded variable per
+    observation and one constraint per parameter; the coefficients are the
+    multipliers of the constraints. ``QrFit.iterations`` counts HiGHS's
+    dual-simplex iterations on this program.
+
     With an intercept present, a constant predictor column is collinear with
     it; such columns are dropped, reported through
     :class:`DegenerateDesignWarning`, and given coefficient 0.

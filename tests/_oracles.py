@@ -2,13 +2,16 @@
 
 Nothing here shares code with the package internals: the leading direction
 comes from a full dense eigendecomposition, least squares from the normal
-equations, quantile regression from exhaustive vertex enumeration, and the
-mean-based fit from a straight-line transcription of the classical recursion.
+equations, quantile regression from exhaustive vertex enumeration or from its
+primal linear program, and the mean-based fit from a straight-line
+transcription of the classical recursion.
 """
 
 import itertools
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 
 def orient(w):
@@ -61,6 +64,26 @@ def qr_vertex_search(X, y, tau, with_intercept=True):
             best_obj = obj
             best_params = params
     return best_obj, best_params
+
+
+def primal_quantile_lp(D, y, tau):
+    """Parameters minimizing the check loss of ``y - D @ params``, from the primal program.
+
+    Splits the residual into positive and negative parts u and v, which makes
+    the check loss linear: minimize tau*sum(u) + (1-tau)*sum(v) subject to
+    D @ params + u - v = y with u, v >= 0 (Koenker & Bassett 1978). The
+    program has k + 2n variables and n equality constraints.
+    """
+    D = np.asarray(D, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    n, k = D.shape
+    c = np.concatenate([np.zeros(k), np.full(n, tau), np.full(n, 1.0 - tau)])
+    eye = sparse.eye(n, format="csc")
+    A = sparse.hstack([sparse.csc_matrix(D), eye, -eye], format="csc")
+    bounds = [(None, None)] * k + [(0.0, None)] * (2 * n)
+    res = linprog(c, A_eq=A, b_eq=y, bounds=bounds, method="highs")
+    assert res.success, res.message
+    return res.x[:k]
 
 
 def profiled_slope_objective(x, y, slope, tau):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from fpqr import empirical_quantile, fit_fpqr, fit_pls, predict_quantile
+from fpqr import empirical_quantile, fit_fpqr, fit_pls, predict_quantile, quantreg
 from fpqr.exceptions import DimensionMismatch
 
 from _oracles import check_loss_mean, local_minimum_certificate
@@ -88,6 +90,34 @@ class TestInnerQuantileFit:
         q_loss = check_loss_mean(Y - quantile_model.predict(X), tau)
         m_loss = check_loss_mean(Y - mean_model.predict(X), tau)
         assert q_loss <= m_loss + 1e-12
+
+
+    def test_one_dual_program_per_response(self, monkeypatch):
+        # Each response's inner fit is one linear program with a constraint
+        # per parameter (h scores and the intercept), not one per row.
+        shapes = []
+        solve = quantreg.linprog
+
+        def recording(*args, **kwargs):
+            shapes.append(kwargs["A_eq"].shape)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(quantreg, "linprog", recording)
+        X, Y, _ = make_data(9, n=50, m=5, l=3)
+        model = fit_fpqr(X, Y, n_components=3, tau=0.4, metric="li")
+        assert shapes == [(model.effective_components + 1, 50)] * 3
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.25, 0.5, 0.75]))
+    def test_row_order_does_not_change_either_fit(self, seed, tau):
+        X, Y, _ = make_data(seed, n=40, m=5, l=2)
+        order = np.random.default_rng(seed).permutation(40)
+        base = fit_fpqr(X, Y, n_components=3, tau=tau, metric="li")
+        permuted = fit_fpqr(X[order], Y[order], n_components=3, tau=tau, metric="li")
+        assert_allclose(permuted.coefficients, base.coefficients, rtol=0, atol=1e-9)
+        mean_fit = fit_pls(X, Y, n_components=3)
+        permuted_mean_fit = fit_pls(X[order], Y[order], n_components=3)
+        assert_allclose(permuted_mean_fit.coefficients, mean_fit.coefficients, rtol=0, atol=1e-9)
 
 
 class TestRobustness:

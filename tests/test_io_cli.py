@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from fpqr import fit_fpqr, fit_pls, load_model, read_dataset, save_model
 from fpqr.cli import main
-from fpqr.exceptions import DataError, ModelFormatError
+from fpqr.exceptions import DataError, IllConditionedWarning, ModelFormatError
 from fpqr.io import split_response_columns, write_matrix_csv
 
 
@@ -187,8 +188,9 @@ class TestModelFile:
             ("payload", "gamma", [[1.0, 2.0]]),
             ("payload", "x_loadings", [[1.0], [2.0], [3.0]]),
             ("payload", "y_loadings", [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+            ("payload", "coefficients", [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
         ],
-        ids=["tau", "center", "metric", "x_columns", "gamma", "x_loadings", "y_loadings"],
+        ids=["tau", "center", "metric", "x_columns", "gamma", "x_loadings", "y_loadings", "coefficients"],
     )
     def test_tampered_field_rejected(self, tmp_path, block, key, value):
         _, model = self.fit_small()
@@ -225,6 +227,32 @@ class TestModelFile:
         path.write_text(json.dumps(doc))
         loaded, _ = load_model(path)
         assert loaded.requested_components == 3
+
+    def test_coefficients_checked_against_back_projection(self, tmp_path):
+        # A relative change of 1e-6 in one stored coefficient is caught.
+        _, model = self.fit_small()
+        path = tmp_path / "model.json"
+        save_model(model, path, ["a", "b", "c"], ["u", "v"])
+        doc = json.loads(path.read_text())
+        doc["payload"]["coefficients"][1][0] *= 1.0 + 1e-6
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="'coefficients' disagrees"):
+            load_model(path)
+
+    def test_ill_conditioned_fit_still_loads(self, tmp_path):
+        # Directions picked so that P.T @ W has condition number about 3e13.
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(30, 2)) * [1e5, 1e-2]
+        Y = X @ [[1e-5], [1e2]] + rng.normal(size=(30, 1))
+        directions = iter([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.warns(IllConditionedWarning):
+            model = fit_fpqr(X, Y, n_components=2, metric=lambda Xa, Ya: np.array(next(directions))[:, None])
+        path = tmp_path / "model.json"
+        save_model(model, path, ["a", "b"], ["y"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded, _ = load_model(path)
+        assert_array_equal(loaded.predict(X), model.predict(X))
 
     def test_column_count_validated_on_save(self, tmp_path):
         _, model = self.fit_small()

@@ -11,6 +11,7 @@ from fpqr.exceptions import DegenerateDesignWarning, EmptyInput, LengthMismatch
 from _oracles import (
     check_loss_mean,
     local_minimum_certificate,
+    primal_quantile_lp,
     profiled_slope_objective,
     qr_vertex_search,
 )
@@ -196,6 +197,103 @@ class TestFitQuantileRegression:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             fit_quantile_regression(np.ones((3, 1)), [1.0, np.inf, 2.0], 0.5)
+
+
+def assert_matches_primal(X, y, tau, with_intercept=True):
+    # The fit's objective must equal the primal program's within 1e-9
+    # relative, or 1e-12 absolute near zero.
+    fit = fit_quantile_regression(X, y, tau, with_intercept=with_intercept)
+    D = np.hstack([X, np.ones((y.size, 1))]) if with_intercept else X
+    primal = check_loss_mean(y - D @ primal_quantile_lp(D, y, tau), tau)
+    assert fit.objective == pytest.approx(primal, rel=1e-9, abs=1e-12)
+
+
+class TestAgainstPrimalProgram:
+    """The dual program solved by the package against the primal it replaced."""
+
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("n, p", [(100, 30), (2000, 10)], ids=["100x31", "2000x11"])
+    def test_random_designs(self, n, p, tau):
+        rng = np.random.default_rng(n + p + int(100 * tau))
+        X = rng.normal(size=(n, p))
+        y = X @ rng.normal(size=p) + rng.standard_t(2, size=n)
+        assert_matches_primal(X, y, tau)
+
+    @pytest.mark.parametrize("tau", [0.25, 0.5, 0.75])
+    def test_tied_integer_data(self, tau):
+        rng = np.random.default_rng(int(100 * tau))
+        for _ in range(10):
+            X = rng.integers(-2, 3, size=(40, 3)).astype(float)
+            y = rng.integers(-3, 4, size=40).astype(float)
+            assert_matches_primal(X, y, tau)
+
+    @pytest.mark.parametrize("tau", [0.3, 0.5])
+    def test_duplicated_score_column(self, tau):
+        rng = np.random.default_rng(41)
+        t = rng.normal(size=(60, 3))
+        X = np.column_stack([t, t[:, 1]])
+        y = t @ [1.0, -0.5, 2.0] + rng.standard_t(3, size=60)
+        assert_matches_primal(X, y, tau)
+
+    @pytest.mark.parametrize("with_intercept", [True, False])
+    def test_as_many_rows_as_parameters(self, with_intercept):
+        rng = np.random.default_rng(42)
+        p = 4 if with_intercept else 5
+        X = rng.normal(size=(5, p))
+        y = rng.normal(size=5)
+        fit = fit_quantile_regression(X, y, 0.4, with_intercept=with_intercept)
+        assert fit.objective == pytest.approx(0.0, abs=1e-12)  # the fit interpolates every row
+        assert_matches_primal(X, y, 0.4, with_intercept=with_intercept)
+
+    @pytest.mark.parametrize("tau", [0.2, 0.5, 0.8])
+    def test_without_intercept(self, tau):
+        rng = np.random.default_rng(43)
+        X = rng.normal(size=(80, 4))
+        y = 3.0 + X @ [1.0, 0.0, -1.0, 0.5] + rng.normal(size=80)
+        assert_matches_primal(X, y, tau, with_intercept=False)
+
+    @pytest.mark.parametrize("tau", [0.01, 0.99])
+    def test_extreme_levels(self, tau):
+        rng = np.random.default_rng(44)
+        X = rng.normal(size=(150, 5))
+        y = X @ rng.normal(size=5) + rng.standard_t(2, size=150)
+        assert_matches_primal(X, y, tau)
+
+
+@pytest.mark.parametrize("tau", [0.1, 0.37, 0.5, 0.9])
+def test_fit_interpolates_at_least_as_many_rows_as_parameters(tau):
+    # A basic optimal solution passes through k observations exactly; the
+    # fit must land on one to rounding error, not to solver tolerance. The
+    # primal program misses by up to about 2e-11 on some of these
+    # heavy-tailed designs.
+    rng = np.random.default_rng(int(100 * tau))
+    for trial in range(60):
+        p = int(rng.integers(1, 4))
+        n = int(rng.integers(p + 2, 40))
+        X = rng.standard_t(2, size=(n, p))
+        y = X @ rng.normal(size=p) + rng.standard_t(1, size=n)
+        fit = fit_quantile_regression(X, y, tau)
+        residuals = y - X @ fit.coefficients - fit.intercept
+        scale = np.abs(y) + np.abs(X) @ np.abs(fit.coefficients) + abs(fit.intercept)
+        interpolated = np.sum(np.abs(residuals) <= 1e-12 * scale)
+        assert interpolated >= p + 1, f"trial {trial}: {interpolated} of {p + 1}"
+
+
+@pytest.mark.filterwarnings("ignore::fpqr.exceptions.DegenerateDesignWarning")
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.1, 0.25, 0.5, 0.9]))
+def test_objective_invariant_to_row_order(seed, tau):
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, 6))
+    n = int(rng.integers(p + 2, 60))
+    X = rng.normal(size=(n, p))
+    y = X @ rng.normal(size=p) + rng.standard_t(2, size=n)
+    if seed % 3 == 0:  # tied integer data too
+        X, y = np.round(X), np.round(y)
+    order = rng.permutation(n)
+    base = fit_quantile_regression(X, y, tau).objective
+    permuted = fit_quantile_regression(X[order], y[order], tau).objective
+    assert permuted == pytest.approx(base, rel=1e-12, abs=1e-15)
 
 
 def paired_slopes(X, Y, tau):
