@@ -10,6 +10,7 @@ import sys
 import numpy as np
 
 from .evaluate import (
+    ModelRecipe,
     cross_validate,
     make_simulation_spec,
     parse_recipe,
@@ -27,9 +28,7 @@ from .exceptions import (
     ShapeMismatch,
     SolverFailure,
 )
-from .fpqr import fit_fpqr
-from .io import read_dataset, save_model, load_model, split_response_columns, write_matrix_csv
-from .pls import fit_pls
+from .io import read_dataset, save_model, load_model, split_response_columns, write_matrix_csv, write_table_csv
 from .quantreg import validate_tau
 
 EXIT_OK = 0
@@ -67,6 +66,13 @@ def _add_fit_arguments(parser):
     parser.add_argument("--center", choices=("mean", "none"), default="mean")
 
 
+def _recipe(args):
+    """The fit that ``--method``, ``--metric`` and ``--tau`` name."""
+    if args.method == "pls":
+        return ModelRecipe("pls", "pls")
+    return ModelRecipe(f"fpqr-{args.metric}", "fpqr", args.metric, args.tau)
+
+
 def _load_xy(args):
     use_pair = args.x is not None or args.y is not None
     use_table = args.data is not None or args.response_cols is not None
@@ -98,14 +104,14 @@ def cmd_fit(args):
     if args.components is not None and args.components < 1:
         raise _UsageError("--components must be at least 1")
     X, Y, x_names, y_names = _load_xy(args)
-    if args.method == "fpqr":
-        model = fit_fpqr(X, Y, args.components, tau=args.tau, metric=args.metric, center=args.center)
-        objective = quantile_error(Y, model.predict(X), args.tau)
-        detail = f"metric={args.metric} tau={args.tau:g}"
-    else:
-        model = fit_pls(X, Y, args.components, center=args.center)
+    recipe = _recipe(args)
+    model = recipe.fit(X, Y, args.components, center=args.center)
+    if recipe.tau is None:
         objective = test_mse(Y, model.predict(X))
         detail = "objective=mse"
+    else:
+        objective = quantile_error(Y, model.predict(X), recipe.tau)
+        detail = f"metric={recipe.metric} tau={recipe.tau:g}"
     save_model(model, args.out, x_names, y_names)
     print(
         f"fit method={args.method} {detail} "
@@ -157,11 +163,11 @@ def cmd_cv(args):
     if not candidates or min(candidates) < 1:
         raise _UsageError("--components must name counts of at least 1")
     X, Y, _, _ = _load_xy(args)
-    if args.method == "fpqr":
-        recipe = parse_recipe(f"fpqr-{args.metric}@{args.tau:g}")
-    else:
-        recipe = parse_recipe("pls")
-    result = cross_validate(X, Y, candidates, folds=args.folds, fitter=recipe, seed=args.seed)
+    recipe = _recipe(args)
+    result = cross_validate(
+        X, Y, candidates, folds=args.folds, seed=args.seed,
+        fitter=lambda X_train, Y_train, h: recipe.fit(X_train, Y_train, h, center=args.center),
+    )
     write_matrix_csv(
         args.out,
         ["components", "meanCvError"],
@@ -178,10 +184,6 @@ def _format_aggregate(mean, std):
 
 
 def cmd_simulate(args):
-    if args.reps < 1:
-        raise _UsageError("--reps must be at least 1")
-    if args.seed < 0:
-        raise _UsageError("--seed must be non-negative")
     try:
         recipes = [parse_recipe(piece) for piece in args.recipes.split(",") if piece.strip()]
     except ValueError as exc:
@@ -194,38 +196,24 @@ def cmd_simulate(args):
         raise _UsageError(str(exc)) from None
 
     result = run_study(spec, recipes)
-
-    import csv as _csv
-
-    with open(args.out, "w", newline="", encoding="utf-8") as handle:
-        writer = _csv.writer(handle)
-        writer.writerow(
-            ["scheme", "recipe", "repetition", "betaDistance", "testMse", "quantileError", "seconds"]
-        )
-        for report in result.reports:
-            writer.writerow(
-                [
-                    spec.scheme,
-                    report.model_tag,
-                    report.repetition,
-                    repr(report.beta_distance),
-                    repr(report.test_mse),
-                    repr(report.quantile_error),
-                    repr(report.wall_time_seconds),
-                ]
-            )
-        for agg in result.aggregates:
-            writer.writerow(
-                [
-                    spec.scheme,
-                    agg.model_tag,
-                    "aggregate",
-                    _format_aggregate(agg.beta_distance_mean, agg.beta_distance_std),
-                    _format_aggregate(agg.test_mse_mean, agg.test_mse_std),
-                    _format_aggregate(agg.quantile_error_mean, agg.quantile_error_std),
-                    _format_aggregate(agg.wall_time_mean, agg.wall_time_std),
-                ]
-            )
+    rows = [
+        [spec.scheme, r.model_tag, r.repetition,
+         repr(r.beta_distance), repr(r.test_mse), repr(r.quantile_error), repr(r.wall_time_seconds)]
+        for r in result.reports
+    ]
+    rows += [
+        [spec.scheme, agg.model_tag, "aggregate",
+         _format_aggregate(agg.beta_distance_mean, agg.beta_distance_std),
+         _format_aggregate(agg.test_mse_mean, agg.test_mse_std),
+         _format_aggregate(agg.quantile_error_mean, agg.quantile_error_std),
+         _format_aggregate(agg.wall_time_mean, agg.wall_time_std)]
+        for agg in result.aggregates
+    ]
+    write_table_csv(
+        args.out,
+        ["scheme", "recipe", "repetition", "betaDistance", "testMse", "quantileError", "seconds"],
+        rows,
+    )
 
     for agg in result.aggregates:
         print(

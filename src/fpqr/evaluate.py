@@ -207,25 +207,22 @@ _STREAMS = {
 
 @dataclass(frozen=True)
 class SimulationSpec:
-    """Dimensions, noise law, and bookkeeping for one benchmark scheme."""
+    """Noise law and bookkeeping for one benchmark scheme, which fixes the sizes."""
 
     scheme: str
     error_law: str
-    n_train: int
-    n_features: int
-    n_responses: int
-    n_components: int
     test_size: int
     repetitions: int
     seed: int
 
+    n_train = property(lambda self: _SCHEME_DIMS[self.scheme][0])
+    n_features = property(lambda self: _SCHEME_DIMS[self.scheme][1])
+    n_responses = property(lambda self: _SCHEME_DIMS[self.scheme][2])
+    n_components = property(lambda self: _SCHEME_DIMS[self.scheme][3])
+
     def __post_init__(self):
         if self.scheme not in _SCHEME_DIMS:
             raise InvalidSpec(f"unknown scheme {self.scheme!r}; expected one of {sorted(_SCHEME_DIMS)}")
-        dims = _SCHEME_DIMS[self.scheme]
-        given = (self.n_train, self.n_features, self.n_responses, self.n_components)
-        if given != dims:
-            raise InvalidSpec(f"scheme {self.scheme} fixes (n, m, l, h) = {dims}, got {given}")
         allowed = _SCHEME_ERRORS[self.scheme]
         if self.error_law not in allowed:
             raise InvalidSpec(
@@ -240,15 +237,14 @@ class SimulationSpec:
 
 
 def make_simulation_spec(scheme, error_law=None, repetitions=100, seed=0, test_size=None):
-    """Build a :class:`SimulationSpec`, filling in the scheme's fixed sizes."""
+    """Build a :class:`SimulationSpec`, filling in the scheme's default error law and test size."""
     if scheme not in _SCHEME_DIMS:
         raise InvalidSpec(f"unknown scheme {scheme!r}; expected one of {sorted(_SCHEME_DIMS)}")
     if error_law is None:
         error_law = _SCHEME_ERRORS[scheme][0]
-    n, m, l, h = _SCHEME_DIMS[scheme]
     if test_size is None:
         test_size = _DEFAULT_TEST_SIZE[scheme]
-    return SimulationSpec(scheme, error_law, n, m, l, h, int(test_size), int(repetitions), int(seed))
+    return SimulationSpec(scheme, error_law, int(test_size), int(repetitions), int(seed))
 
 
 def _stream(spec, repetition, role):

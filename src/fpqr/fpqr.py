@@ -51,7 +51,7 @@ def fit_fpqr(X, Y, n_components=None, tau=0.5, metric="li", center="mean", least
     if callable(metric):
         kind, cross_product = "custom", metric
     else:
-        kind = metric.kind if isinstance(metric, QcovMetric) else str(metric)
+        kind = metric
         if kind == "classical" and not least_squares_gamma:
             raise ValueError(
                 "the classical covariance reproduces the mean-based fit; "

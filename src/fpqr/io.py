@@ -90,11 +90,15 @@ def write_matrix_csv(path, header, matrix):
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     if matrix.shape[1] != len(header):
         raise ValueError(f"matrix has {matrix.shape[1]} columns, header has {len(header)}")
+    write_table_csv(path, header, ([repr(float(v)) for v in row] for row in matrix))
+
+
+def write_table_csv(path, header, rows):
+    """Write a header and rows of cells, each cell as ``str`` gives it."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in matrix:
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows(rows)
 
 
 def save_model(model, path, x_columns, y_columns):
@@ -110,7 +114,6 @@ def save_model(model, path, x_columns, y_columns):
             "metric": model.metric,
             "tau": model.tau,
             "requested_components": model.requested_components,
-            "effective_components": model.effective_components,
             "center": model.x_centering.mode,
             "x_columns": list(x_columns),
             "y_columns": list(y_columns),
@@ -121,7 +124,6 @@ def save_model(model, path, x_columns, y_columns):
             "y_loadings": model.decomposition.y_loadings.tolist(),
             "gamma": model.gamma.tolist(),
             "intercepts": model.intercepts.tolist(),
-            "coefficients": model.coefficients.tolist(),
             "x_centers": model.x_centering.column_centers.tolist(),
             "y_centers": model.y_centering.column_centers.tolist(),
         },
@@ -147,33 +149,14 @@ def _payload_array(payload, key, shape):
     return arr
 
 
-def _check_coefficients(path, decomposition, gamma, coefficients):
-    """Raise unless ``coefficients`` is what :func:`back_project` makes of the stored W, P and gamma."""
-    m, l = coefficients.shape
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IllConditionedWarning)
-        try:
-            expected = back_project(decomposition, gamma, m, l)
-        except RankDeficient as exc:
-            raise ModelFormatError(f"{path}: model payload loadings and weights are singular: {exc}") from None
-    # Another build may round the solve differently, by up to a small multiple
-    # of machine epsilon times the condition number of P.T @ W.
-    cond = np.linalg.cond(decomposition.x_loadings.T @ decomposition.weights) if decomposition.n_components else 1.0
-    rtol = 1e-9 + 100 * np.finfo(float).eps * cond
-    scale = max(np.abs(expected).max(initial=0.0), np.abs(coefficients).max(initial=0.0))
-    if np.abs(expected - coefficients).max(initial=0.0) > rtol * scale:
-        raise ModelFormatError(
-            f"{path}: model payload field 'coefficients' disagrees with weights, x_loadings and gamma"
-        )
-
-
 def load_model(path):
     """Load a model written by :func:`save_model`.
 
     Returns ``(model, metadata)``. Any version other than
-    ``MODEL_FORMAT_VERSION`` is rejected, and so are stored coefficients
-    that :func:`~fpqr.pls.back_project` does not reproduce from the stored
-    weights, x-loadings and inner coefficients.
+    ``MODEL_FORMAT_VERSION`` is rejected. The coefficients are rebuilt from
+    the stored weights, x-loadings and inner coefficients by
+    :func:`~fpqr.pls.back_project`, as the fit built them; a ``coefficients``
+    field in the payload is ignored.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -194,16 +177,17 @@ def load_model(path):
     if not isinstance(metadata, dict) or not isinstance(payload, dict):
         raise ModelFormatError(f"{path}: metadata or payload block is missing")
 
-    coefficients = _payload_array(payload, "coefficients", (None, None))
-    m, l = coefficients.shape
+    x_centers = _payload_array(payload, "x_centers", (None,))
+    y_centers = _payload_array(payload, "y_centers", (None,))
+    m, l = x_centers.size, y_centers.size
+    if not (m and l):
+        raise ModelFormatError(f"{path}: model payload has {m} predictor and {l} response centers")
     weights = _payload_array(payload, "weights", (m, None))
     h = weights.shape[1]
     x_loadings = _payload_array(payload, "x_loadings", (m, h))
     y_loadings = _payload_array(payload, "y_loadings", (l, h))
     gamma = _payload_array(payload, "gamma", (h, l))
     intercepts = _payload_array(payload, "intercepts", (l,))
-    x_centers = _payload_array(payload, "x_centers", (m,))
-    y_centers = _payload_array(payload, "y_centers", (l,))
 
     for key, count in (("x_columns", m), ("y_columns", l)):
         names = metadata.get(key)
@@ -227,7 +211,12 @@ def load_model(path):
             f"{path}: metadata 'requested_components' {requested!r} must be an integer in [{h}, {m}]"
         )
     decomposition = LatentDecomposition(weights, x_loadings, y_loadings, scores=None)
-    _check_coefficients(path, decomposition, gamma, coefficients)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        try:
+            coefficients = back_project(decomposition, gamma, m, l)
+        except RankDeficient as exc:
+            raise ModelFormatError(f"{path}: model payload loadings and weights are singular: {exc}") from None
     model = FittedModel(
         decomposition=decomposition,
         gamma=gamma,

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from fpqr import empirical_quantile, fit_fpqr, fit_pls, predict_quantile, quantreg
+from fpqr import QcovMetric, empirical_quantile, fit_fpqr, fit_pls, predict_quantile, quantreg
 from fpqr.exceptions import DimensionMismatch
 
 from _oracles import check_loss_mean, local_minimum_certificate
@@ -151,6 +151,13 @@ class TestMetricChoices:
         X, Y, _ = make_data(10)
         with pytest.raises(ValueError, match="unknown metric"):
             fit_fpqr(X, Y, metric="kendall")
+
+    def test_metric_object_rejected(self):
+        # A QcovMetric carries its own tau; fit_fpqr takes the level from
+        # ``tau`` alone, so the object is refused rather than half-used.
+        X, Y, _ = make_data(10)
+        with pytest.raises(ValueError, match="unknown metric"):
+            fit_fpqr(X, Y, tau=0.5, metric=QcovMetric("dodge", 0.9))
 
     def test_tau_validated(self):
         X, Y, _ = make_data(11)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fpqr import fit_fpqr, fit_pls, load_model, read_dataset, save_model
+from fpqr import cross_validate, fit_fpqr, fit_pls, load_model, read_dataset, save_model
 from fpqr.cli import main
 from fpqr.exceptions import DataError, IllConditionedWarning, ModelFormatError
 from fpqr.io import split_response_columns, write_matrix_csv
@@ -116,12 +116,12 @@ class TestSplitResponseColumns:
 
 
 class TestModelFile:
-    def fit_small(self, seed=2, method="fpqr"):
+    def fit_small(self, seed=2, method="fpqr", metric="li"):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(25, 3))
         Y = X @ rng.normal(size=(3, 2)) + 0.1 * rng.normal(size=(25, 2))
         if method == "fpqr":
-            return X, fit_fpqr(X, Y, n_components=2, tau=0.3, metric="li")
+            return X, fit_fpqr(X, Y, n_components=2, tau=0.3, metric=metric)
         return X, fit_pls(X, Y, n_components=2)
 
     def test_round_trip_predictions_identical(self, tmp_path):
@@ -134,6 +134,17 @@ class TestModelFile:
         assert metadata["metric"] == "li"
         assert metadata["tau"] == 0.3
         assert metadata["y_columns"] == ["u", "v"]
+
+    @pytest.mark.parametrize("metric", ["dodge", "choi"])
+    @pytest.mark.filterwarnings("ignore::fpqr.exceptions.DiscordantSlopesWarning")
+    def test_slope_metric_round_trip_identical(self, tmp_path, metric):
+        X, model = self.fit_small(metric=metric)
+        path = tmp_path / "model.json"
+        save_model(model, path, ["a", "b", "c"], ["u", "v"])
+        loaded, metadata = load_model(path)
+        assert metadata["metric"] == metric
+        assert_array_equal(loaded.coefficients, model.coefficients)
+        assert_array_equal(loaded.predict(X), model.predict(X))
 
     def test_mean_model_round_trip(self, tmp_path):
         X, model = self.fit_small(method="pls")
@@ -151,6 +162,30 @@ class TestModelFile:
         doc = json.loads(path.read_text())
         assert doc["format_version"] == 1
         assert set(doc) == {"format_version", "metadata", "payload"}
+
+    def test_file_stores_no_derived_values(self, tmp_path):
+        _, model = self.fit_small()
+        path = tmp_path / "model.json"
+        save_model(model, path, ["a", "b", "c"], ["u", "v"])
+        doc = json.loads(path.read_text())
+        assert "coefficients" not in doc["payload"]
+        assert "effective_components" not in doc["metadata"]
+
+    @pytest.mark.parametrize("stored_scale", [1.0, 1.0 + 1e-6], ids=["as-fitted", "stale"])
+    def test_stored_coefficients_ignored(self, tmp_path, stored_scale):
+        # Earlier files of the same format version also carry the coefficients
+        # and the effective component count. Both are ignored: the coefficients
+        # are rebuilt from the stored weights, x-loadings and gamma.
+        X, model = self.fit_small()
+        path = tmp_path / "model.json"
+        save_model(model, path, ["a", "b", "c"], ["u", "v"])
+        doc = json.loads(path.read_text())
+        doc["metadata"]["effective_components"] = model.effective_components
+        doc["payload"]["coefficients"] = (model.coefficients * stored_scale).tolist()
+        path.write_text(json.dumps(doc))
+        loaded, _ = load_model(path)
+        assert_array_equal(loaded.coefficients, model.coefficients)
+        assert_array_equal(loaded.predict(X), model.predict(X))
 
     def test_unsupported_version_rejected(self, tmp_path):
         _, model = self.fit_small()
@@ -188,9 +223,9 @@ class TestModelFile:
             ("payload", "gamma", [[1.0, 2.0]]),
             ("payload", "x_loadings", [[1.0], [2.0], [3.0]]),
             ("payload", "y_loadings", [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
-            ("payload", "coefficients", [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+            ("payload", "x_loadings", [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
         ],
-        ids=["tau", "center", "metric", "x_columns", "gamma", "x_loadings", "y_loadings", "coefficients"],
+        ids=["tau", "center", "metric", "x_columns", "gamma", "x_loadings", "y_loadings", "singular"],
     )
     def test_tampered_field_rejected(self, tmp_path, block, key, value):
         _, model = self.fit_small()
@@ -200,6 +235,21 @@ class TestModelFile:
         doc[block][key] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    def test_model_without_predictors_rejected(self, tmp_path):
+        # The centers fix m and l, so an all-empty payload must not pass as a
+        # model with no predictor columns.
+        doc = {
+            "format_version": 1,
+            "metadata": {"method": "pls", "metric": None, "tau": None, "requested_components": 0,
+                         "center": "mean", "x_columns": [], "y_columns": ["y"]},
+            "payload": {"weights": [], "x_loadings": [], "y_loadings": [[]], "gamma": [],
+                        "intercepts": [0.0], "x_centers": [], "y_centers": [0.0]},
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="0 predictor"):
             load_model(path)
 
     @pytest.mark.parametrize("value", ["lots", 99, -1, True, 2.5], ids=["text", "99", "-1", "true", "2.5"])
@@ -227,17 +277,6 @@ class TestModelFile:
         path.write_text(json.dumps(doc))
         loaded, _ = load_model(path)
         assert loaded.requested_components == 3
-
-    def test_coefficients_checked_against_back_projection(self, tmp_path):
-        # A relative change of 1e-6 in one stored coefficient is caught.
-        _, model = self.fit_small()
-        path = tmp_path / "model.json"
-        save_model(model, path, ["a", "b", "c"], ["u", "v"])
-        doc = json.loads(path.read_text())
-        doc["payload"]["coefficients"][1][0] *= 1.0 + 1e-6
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFormatError, match="'coefficients' disagrees"):
-            load_model(path)
 
     def test_ill_conditioned_fit_still_loads(self, tmp_path):
         # Directions picked so that P.T @ W has condition number about 3e13.
@@ -457,6 +496,35 @@ class TestCliCv:
         assert names == ["components", "meanCvError"]
         assert table.shape == (6, 2)
         assert list(table[:, 0]) == [1, 2, 3, 4, 5, 6]
+
+    @pytest.mark.parametrize(
+        "flags, tau, center",
+        [(["--center", "none"], 0.5, "none"), (["--tau", "0.1234567"], 0.1234567, "mean")],
+        ids=["center-none", "tau-seven-digits"],
+    )
+    def test_settings_reach_the_fit(self, tmp_path, flags, tau, center):
+        # 90 rows in 10 folds train on 81, and 81 * 0.1234567 lies just below
+        # 10, so the seventh digit of tau moves the empirical quantile's rank.
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(90, 5)) + 3.0
+        Y = X @ rng.normal(size=(5, 1)) + rng.standard_t(3, size=(90, 1)) + 2.0
+        x_path = tmp_path / "x.csv"
+        y_path = tmp_path / "y.csv"
+        write_csv(x_path, [f"x{j}" for j in range(5)], X.tolist())
+        write_csv(y_path, ["y"], Y.tolist())
+        out_path = tmp_path / "cv.csv"
+        code = main([
+            "cv", "--x", str(x_path), "--y", str(y_path), "--components", "1..3", "--folds", "10",
+            *flags, "--out", str(out_path),
+        ])
+        assert code == 0
+        expected = cross_validate(
+            X, Y, [1, 2, 3], folds=10, seed=0,
+            fitter=lambda Xt, Yt, h: fit_fpqr(Xt, Yt, h, tau=tau, metric="li", center=center),
+        )
+        _, table = read_dataset(out_path)
+        assert_array_equal(table[:, 0], expected.candidate_components)
+        assert_array_equal(table[:, 1], expected.mean_cv_error)
 
 
 class TestCliSimulate:
