@@ -1,14 +1,15 @@
 """CSV datasets and the on-disk model format.
 
 Datasets are plain comma-separated text: one mandatory header row of unique
-column names, then rectangular numeric rows (decimal point, UTF-8). Models are
+column names, then rectangular numeric rows (decimal point, UTF-8; the
+dialect is set out in :func:`read_dataset`). Models are
 stored as versioned JSON; floats go through Python's shortest round-trip
 representation, so reloading reproduces predictions exactly.
 """
 
 import csv
 import json
-import math
+import re
 import warnings
 
 import numpy as np
@@ -26,18 +27,32 @@ def read_dataset(path):
     """Read a numeric CSV with a header.
 
     Returns ``(column_names, matrix)``. Any structural or numeric problem
-    raises :class:`DataError` naming the file line and column.
+    raises :class:`DataError` naming the first faulty file line and, where
+    one cell is at fault, its column.
+
+    The header goes through :mod:`csv`. The body is parsed in one
+    :func:`numpy.loadtxt` call, which reads a cell as Python's ``float``
+    does, except that it accepts neither ``_`` digit separators nor
+    non-ASCII digits. Spaces and tabs around a cell are ignored, and a cell
+    may be double-quoted as :mod:`csv` quotes, provided the quote closes on
+    the same line. Blank lines are rejected, and ``#`` starts no comment.
     """
     try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            rows = list(csv.reader(handle))
+        with open(path, encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            body = handle.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not valid UTF-8: {exc}") from exc
-    if not rows:
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    if header is None:
         raise DataError(f"{path}: file is empty")
-    header = [name.strip() for name in rows[0]]
+    if not header:
+        raise DataError(f"{path}: line 1 is blank, expected the header")
+    header = [name.strip() for name in header]
     if any(not name for name in header):
         raise DataError(f"{path}: header contains an empty column name")
     seen = set()
@@ -45,28 +60,89 @@ def read_dataset(path):
         if name in seen:
             raise DataError(f"{path}: duplicate column name {name!r}")
         seen.add(name)
-    body = rows[1:]
-    if not body:
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the newline that ends the last line
+    if not lines:
         raise DataError(f"{path}: no data rows after the header")
+    return header, _parse_body(path, header, lines, reader.line_num + 1, quoted='"' in body)
+
+
+# How loadtxt splits a body line: "#" starts no comment.
+_DIALECT = dict(delimiter=",", comments=None, quotechar='"')
+# A line whose quoted cells all close on it. As in csv, a quote opens a cell
+# only at the cell's start, and "" inside a quoted cell is one quote.
+_CELL = r'(?:"(?:[^"]|"")*"(?:[^,"][^,]*)?|(?:[^,"][^,]*)?)'
+_QUOTES_CLOSE = re.compile(rf"{_CELL}(?:,{_CELL})*")
+# loadtxt's messages; the cell it quotes is cut short, so it is not read.
+_BAD_CELL = re.compile(r"could not convert string .* at row (\d+), column (\d+)\.$", re.DOTALL)
+_WIDTH_CHANGE = re.compile(r"the number of columns changed from \d+ to (\d+) at row (\d+)")
+
+
+def _parse_body(path, header, lines, first, quoted):
+    # ``first`` is the 1-based file line of lines[0]. loadtxt would skip a
+    # blank line and leave it out of its row count, and it would carry an
+    # unclosed quote on into the next line, so the lines before the first
+    # such one are parsed and that line is the fault. Whatever the fault,
+    # the error names the first faulty line, as a line-by-line reader would.
     width = len(header)
-    data = np.empty((len(body), width))
-    for i, row in enumerate(body):
-        line = i + 2  # 1-based, counting the header
-        if len(row) != width:
-            raise DataError(f"{path}: line {line} has {len(row)} fields, expected {width}")
-        for j, cell in enumerate(row):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path}: line {line}, column {header[j]!r}: {cell.strip()!r} is not numeric"
-                ) from None
-            if not math.isfinite(value):
-                raise DataError(
-                    f"{path}: line {line}, column {header[j]!r}: non-finite value {cell.strip()!r}"
-                )
-            data[i, j] = value
-    return header, data
+    end = lines.index("") if "" in lines else len(lines)
+    fault = None if end == len(lines) else _width_error(path, first + end, 0, width)
+    if quoted:
+        for i, line in enumerate(lines[:end]):
+            if '"' in line and not _QUOTES_CLOSE.fullmatch(line):
+                end, fault = i, DataError(f"{path}: line {first + i}: a quoted cell does not close on its line")
+                break
+    try:
+        data = np.loadtxt(lines[:end], ndmin=2, **_DIALECT) if end else None
+    except ValueError as exc:
+        end, fault = _loadtxt_fault(path, header, lines, first, str(exc))
+        data = np.loadtxt(lines[:end], ndmin=2, **_DIALECT) if end else None
+    if data is not None:
+        if data.shape[1] != width:
+            raise _width_error(path, first, data.shape[1], width)
+        finite = np.isfinite(data)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            cell = _shown(_cells(lines[i])[j].strip())
+            raise DataError(f"{path}: line {first + i}, column {header[j]!r}: non-finite value {cell}")
+    if fault is not None:
+        raise fault
+    return data
+
+
+def _cells(line):
+    # One body line's cells as text, split as loadtxt splits them.
+    return np.loadtxt([line], dtype=object, ndmin=1, **_DIALECT)
+
+
+def _shown(cell):
+    return repr(cell) if len(cell) <= 40 else f"{cell[:40]!r}... ({len(cell)} characters)"
+
+
+def _width_error(path, line, fields, width):
+    return DataError(f"{path}: line {line} has {fields} fields, expected {width}")
+
+
+def _loadtxt_fault(path, header, lines, first, message):
+    # The body row a loadtxt error names, and its DataError. loadtxt counts
+    # rows from 0 when a cell fails to convert and from 1 when the column
+    # count changes; it checks a row's width before its cells, against the
+    # first row's width, not the header's.
+    width = len(header)
+    match = _BAD_CELL.match(message)
+    if match:
+        row, j = int(match[1]), int(match[2]) - 1
+        cells = _cells(lines[row])
+        if cells.size != width:
+            return row, _width_error(path, first + row, cells.size, width)
+        cell = _shown(cells[j].strip())
+        return row, DataError(f"{path}: line {first + row}, column {header[j]!r}: {cell} is not numeric")
+    match = _WIDTH_CHANGE.match(message)
+    if match:
+        row = int(match[2]) - 1
+        return row, _width_error(path, first + row, int(match[1]), width)
+    return 0, DataError(f"{path}: {message}")
 
 
 def split_response_columns(header, data, response_names):
@@ -90,7 +166,13 @@ def write_matrix_csv(path, header, matrix):
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     if matrix.shape[1] != len(header):
         raise ValueError(f"matrix has {matrix.shape[1]} columns, header has {len(header)}")
-    write_table_csv(path, header, ([repr(float(v)) for v in row] for row in matrix))
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        # csv.writer would write each float as repr gives it, unquoted, and
+        # end each row with its "\r\n"; joining the row ourselves is the same
+        # text without a call per cell.
+        handle.writelines(",".join(map(repr, row)) + "\r\n" for row in matrix.tolist())
 
 
 def write_table_csv(path, header, rows):

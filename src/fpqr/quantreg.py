@@ -99,9 +99,19 @@ def _solve_lp(D, y, tau):
     # bounded variable per row and one constraint per parameter, and the
     # coefficients are the multipliers of those constraints (the sign flips
     # because linprog minimizes -y @ a).
-    res = linprog(-y, A_eq=D.T, b_eq=np.zeros(D.shape[1]), bounds=(tau - 1.0, tau), method="highs")
+    k = D.shape[1]
+    res = linprog(-y, A_eq=D.T, b_eq=np.zeros(k), bounds=(tau - 1.0, tau), method="highs")
     if not res.success:
         raise SolverFailure(f"quantile-regression program did not solve: {res.message}")
+    # The multipliers carry solver tolerance. The optimum they approximate
+    # interpolates the rows whose dual value lies strictly inside the box, so
+    # when there are exactly k of them one solve on those rows lands on it.
+    basic = (res.x > tau - 1.0) & (res.x < tau)
+    if np.count_nonzero(basic) == k:
+        try:
+            return np.linalg.solve(D[basic], y[basic]), int(res.nit)
+        except np.linalg.LinAlgError:
+            pass
     return -res.eqlin.marginals, int(res.nit)
 
 
@@ -132,7 +142,10 @@ def fit_quantile_regression(X, y, tau, with_intercept=True):
     ``tau - 1 <= a <= tau``, where ``D`` stacks the predictor columns and
     the intercept column. That program has one box-bounded variable per
     observation and one constraint per parameter; the coefficients are the
-    multipliers of the constraints. ``QrFit.iterations`` counts HiGHS's
+    multipliers of the constraints. When exactly as many rows as parameters
+    have a dual value strictly inside the bounds, the coefficients are
+    instead solved from those rows, which the optimum interpolates, so they
+    carry rounding error only. ``QrFit.iterations`` counts HiGHS's
     dual-simplex iterations on this program.
 
     With an intercept present, a constant predictor column is collinear with

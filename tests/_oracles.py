@@ -3,11 +3,14 @@
 Nothing here shares code with the package internals: the leading direction
 comes from a full dense eigendecomposition, least squares from the normal
 equations, quantile regression from exhaustive vertex enumeration or from its
-primal linear program, and the mean-based fit from a straight-line
-transcription of the classical recursion.
+primal linear program, the mean-based fit from a straight-line
+transcription of the classical recursion, and CSV files from ``csv`` and
+one ``float`` call per cell.
 """
 
+import csv
 import itertools
+import math
 
 import numpy as np
 from scipy import sparse
@@ -159,3 +162,54 @@ def reference_nipals(X, Y, n_components):
         "x_mean": x_mean,
         "y_mean": y_mean,
     }
+
+
+def read_csv_by_cell(path):
+    """A numeric CSV with a header, read one cell at a time.
+
+    ``csv.reader`` splits the file and ``float`` reads each cell. Returns
+    ``(header, matrix)``; raises ``ValueError`` worded as ``read_dataset``'s
+    errors, naming the first faulty line and, for a cell, its column.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        rows = list(csv.reader(handle))
+    if not rows:
+        raise ValueError(f"{path}: file is empty")
+    header = [name.strip() for name in rows[0]]
+    if any(not name for name in header):
+        raise ValueError(f"{path}: header contains an empty column name")
+    seen = set()
+    for name in header:
+        if name in seen:
+            raise ValueError(f"{path}: duplicate column name {name!r}")
+        seen.add(name)
+    body = rows[1:]
+    if not body:
+        raise ValueError(f"{path}: no data rows after the header")
+    width = len(header)
+    data = np.empty((len(body), width))
+    for i, row in enumerate(body):
+        line = i + 2  # 1-based, counting the header
+        if len(row) != width:
+            raise ValueError(f"{path}: line {line} has {len(row)} fields, expected {width}")
+        for j, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {line}, column {header[j]!r}: {cell.strip()!r} is not numeric"
+                ) from None
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{path}: line {line}, column {header[j]!r}: non-finite value {cell.strip()!r}"
+                )
+            data[i, j] = value
+    return header, data
+
+
+def write_csv_by_cell(path, header, matrix):
+    """A header and a float matrix through ``csv.writer``, each cell as ``repr`` gives it."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) for v in row] for row in np.atleast_2d(matrix))

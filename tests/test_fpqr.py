@@ -107,7 +107,7 @@ class TestInnerQuantileFit:
         model = fit_fpqr(X, Y, n_components=3, tau=0.4, metric="li")
         assert shapes == [(model.effective_components + 1, 50)] * 3
 
-    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=25)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0.25, 0.5, 0.75]))
     def test_row_order_does_not_change_either_fit(self, seed, tau):
         X, Y, _ = make_data(seed, n=40, m=5, l=2)
