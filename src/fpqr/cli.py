@@ -101,8 +101,6 @@ class _UsageError(Exception):
 
 
 def cmd_fit(args):
-    if args.components is not None and args.components < 1:
-        raise _UsageError("--components must be at least 1")
     X, Y, x_names, y_names = _load_xy(args)
     recipe = _recipe(args)
     model = recipe.fit(X, Y, args.components, center=args.center)
@@ -135,7 +133,11 @@ def cmd_predict(args):
         )
     if header != expected:
         X = X[:, [header.index(name) for name in expected]]
-    predictions = model.predict(X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        predictions = model.predict(X)
+    bad = ~np.isfinite(predictions).all(axis=1)
+    if bad.any():
+        raise DataError(f"{args.x}: data row {bad.argmax() + 1}: the prediction overflows to a non-finite value")
     write_matrix_csv(args.out, metadata["y_columns"], predictions)
     print(f"predict rows={X.shape[0]} responses={model.n_responses} out={args.out}")
     return EXIT_OK
@@ -160,8 +162,6 @@ def _parse_candidates(text):
 
 def cmd_cv(args):
     candidates = _parse_candidates(args.components)
-    if not candidates or min(candidates) < 1:
-        raise _UsageError("--components must name counts of at least 1")
     X, Y, _, _ = _load_xy(args)
     recipe = _recipe(args)
     result = cross_validate(

@@ -30,12 +30,13 @@ def read_dataset(path):
     raises :class:`DataError` naming the first faulty file line and, where
     one cell is at fault, its column.
 
-    The header goes through :mod:`csv`. The body is parsed in one
-    :func:`numpy.loadtxt` call, which reads a cell as Python's ``float``
-    does, except that it accepts neither ``_`` digit separators nor
-    non-ASCII digits. Spaces and tabs around a cell are ignored, and a cell
-    may be double-quoted as :mod:`csv` quotes, provided the quote closes on
-    the same line. Blank lines are rejected, and ``#`` starts no comment.
+    The header goes through :mod:`csv`, the body through
+    :func:`numpy.loadtxt`, which reads a cell as Python's ``float`` does,
+    except that it accepts neither ``_`` digit separators nor non-ASCII
+    digits. Spaces and tabs around a cell are ignored, and a cell may be
+    double-quoted as :mod:`csv` quotes, provided the quote closes on the same
+    line. Blank lines are rejected, and ``#`` starts no comment. A
+    well-formed body is parsed in one call, any other line by line.
     """
     try:
         with open(path, encoding="utf-8-sig") as handle:
@@ -65,7 +66,18 @@ def read_dataset(path):
         lines.pop()  # the newline that ends the last line
     if not lines:
         raise DataError(f"{path}: no data rows after the header")
-    return header, _parse_body(path, header, lines, reader.line_num + 1, quoted='"' in body)
+    # loadtxt would skip a blank line and carry an unclosed quote on into the
+    # next line. Such a body, and one this call does not read whole, is read
+    # line by line, which defines what is read and which fault is named.
+    if all(line and ('"' not in line or _QUOTES_CLOSE.fullmatch(line)) for line in lines):
+        try:
+            data = np.loadtxt(lines, ndmin=2, **_DIALECT)
+        except ValueError:
+            data = None
+        if data is not None and data.shape == (len(lines), len(header)) and np.isfinite(data).all():
+            return header, data
+    first = reader.line_num + 1  # the file line of lines[0]
+    return header, np.vstack([_read_line(f"{path}: line {first + i}", header, line) for i, line in enumerate(lines)])
 
 
 # How loadtxt splits a body line: "#" starts no comment.
@@ -74,75 +86,32 @@ _DIALECT = dict(delimiter=",", comments=None, quotechar='"')
 # only at the cell's start, and "" inside a quoted cell is one quote.
 _CELL = r'(?:"(?:[^"]|"")*"(?:[^,"][^,]*)?|(?:[^,"][^,]*)?)'
 _QUOTES_CLOSE = re.compile(rf"{_CELL}(?:,{_CELL})*")
-# loadtxt's messages; the cell it quotes is cut short, so it is not read.
-_BAD_CELL = re.compile(r"could not convert string .* at row (\d+), column (\d+)\.$", re.DOTALL)
-_WIDTH_CHANGE = re.compile(r"the number of columns changed from \d+ to (\d+) at row (\d+)")
 
 
-def _parse_body(path, header, lines, first, quoted):
-    # ``first`` is the 1-based file line of lines[0]. loadtxt would skip a
-    # blank line and leave it out of its row count, and it would carry an
-    # unclosed quote on into the next line, so the lines before the first
-    # such one are parsed and that line is the fault. Whatever the fault,
-    # the error names the first faulty line, as a line-by-line reader would.
-    width = len(header)
-    end = lines.index("") if "" in lines else len(lines)
-    fault = None if end == len(lines) else _width_error(path, first + end, 0, width)
-    if quoted:
-        for i, line in enumerate(lines[:end]):
-            if '"' in line and not _QUOTES_CLOSE.fullmatch(line):
-                end, fault = i, DataError(f"{path}: line {first + i}: a quoted cell does not close on its line")
-                break
+def _read_line(where, header, line):
+    """One body line as a (1, width) row, or a DataError, prefixed by ``where``, for its first fault."""
+    if '"' in line and not _QUOTES_CLOSE.fullmatch(line):
+        raise DataError(f"{where}: a quoted cell does not close on its line")
     try:
-        data = np.loadtxt(lines[:end], ndmin=2, **_DIALECT) if end else None
-    except ValueError as exc:
-        end, fault = _loadtxt_fault(path, header, lines, first, str(exc))
-        data = np.loadtxt(lines[:end], ndmin=2, **_DIALECT) if end else None
-    if data is not None:
-        if data.shape[1] != width:
-            raise _width_error(path, first, data.shape[1], width)
-        finite = np.isfinite(data)
-        if not finite.all():
-            i, j = np.argwhere(~finite)[0]
-            cell = _shown(_cells(lines[i])[j].strip())
-            raise DataError(f"{path}: line {first + i}, column {header[j]!r}: non-finite value {cell}")
-    if fault is not None:
-        raise fault
-    return data
-
-
-def _cells(line):
-    # One body line's cells as text, split as loadtxt splits them.
-    return np.loadtxt([line], dtype=object, ndmin=1, **_DIALECT)
-
-
-def _shown(cell):
-    return repr(cell) if len(cell) <= 40 else f"{cell[:40]!r}... ({len(cell)} characters)"
-
-
-def _width_error(path, line, fields, width):
-    return DataError(f"{path}: line {line} has {fields} fields, expected {width}")
-
-
-def _loadtxt_fault(path, header, lines, first, message):
-    # The body row a loadtxt error names, and its DataError. loadtxt counts
-    # rows from 0 when a cell fails to convert and from 1 when the column
-    # count changes; it checks a row's width before its cells, against the
-    # first row's width, not the header's.
-    width = len(header)
-    match = _BAD_CELL.match(message)
-    if match:
-        row, j = int(match[1]), int(match[2]) - 1
-        cells = _cells(lines[row])
-        if cells.size != width:
-            return row, _width_error(path, first + row, cells.size, width)
-        cell = _shown(cells[j].strip())
-        return row, DataError(f"{path}: line {first + row}, column {header[j]!r}: {cell} is not numeric")
-    match = _WIDTH_CHANGE.match(message)
-    if match:
-        row = int(match[2]) - 1
-        return row, _width_error(path, first + row, int(match[1]), width)
-    return 0, DataError(f"{path}: {message}")
+        row = np.loadtxt([line], ndmin=2, **_DIALECT) if line else None
+    except ValueError:
+        row = None
+    if row is not None and row.shape == (1, len(header)) and np.isfinite(row).all():
+        return row
+    # Split as loadtxt splits; "" has no cells, as csv reads a blank line.
+    cells = np.loadtxt([line], dtype=object, ndmin=1, **_DIALECT) if line else []
+    if len(cells) != len(header):
+        raise DataError(f"{where} has {len(cells)} fields, expected {len(header)}")
+    for j, name in enumerate(header):
+        cell = cells[j].strip()
+        cell = repr(cell) if len(cell) <= 40 else f"{cell[:40]!r}... ({len(cell)} characters)"
+        try:
+            value = np.loadtxt([line], usecols=j, **_DIALECT)
+        except ValueError:
+            raise DataError(f"{where}, column {name!r}: {cell} is not numeric") from None
+        if not np.isfinite(value):
+            raise DataError(f"{where}, column {name!r}: non-finite value {cell}")
+    raise AssertionError(f"{where}: loadtxt read the line whole but not cell by cell")
 
 
 def split_response_columns(header, data, response_names):
@@ -287,6 +256,9 @@ def load_model(path):
     metric = metadata.get("metric")
     if metric not in (None, "custom", *METRIC_KINDS):
         raise ModelFormatError(f"{path}: metadata 'metric' {metric!r} is not a known metric")
+    method = metadata.get("method")
+    if (method, tau is None, metric is None) not in (("pls", True, True), ("fpqr", False, False)):
+        raise ModelFormatError(f"{path}: metadata 'method' {method!r} does not match 'tau' and 'metric'")
     requested = metadata.get("requested_components", h)
     if not (isinstance(requested, int) and not isinstance(requested, bool) and h <= requested <= m):
         raise ModelFormatError(

@@ -1,6 +1,8 @@
 """The CSV dialect of ``read_dataset`` and ``write_matrix_csv``, pinned to a
 reader and a writer that handle one cell at a time (``tests/_oracles.py``)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -59,6 +61,34 @@ class TestAgainstCellReader:
     def test_values_bit_identical(self, tmp_path_factory, text):
         assert_reads_alike(write_text(tmp_path_factory.getbasetemp() / "t.csv", text))
 
+    @settings(max_examples=100)
+    @given(formatted_tables())
+    def test_line_by_line_reads_the_same_bytes(self, tmp_path_factory, text):
+        path = write_text(tmp_path_factory.getbasetemp() / "t.csv", text)
+        loadtxt, calls = np.loadtxt, []
+
+        def refuse_whole_body(*args, **kwargs):
+            # The first call is the one over the whole body; refusing it
+            # sends the table down the line-by-line path.
+            calls.append(args)
+            if len(calls) == 1:
+                raise ValueError("refused")
+            return loadtxt(*args, **kwargs)
+
+        try:
+            header, data = read_dataset(path)
+        except DataError as exc:  # "%.15g" can round a double up to inf
+            with pytest.raises(DataError) as raised, mock.patch.object(np, "loadtxt", refuse_whole_body):
+                read_dataset(path)
+            assert str(raised.value) == str(exc)
+            return
+        with mock.patch.object(np, "loadtxt", refuse_whole_body):
+            line_header, line_data = read_dataset(path)
+        assert len(calls) == 1 + data.shape[0]  # then one call per line
+        assert line_header == header
+        assert line_data.shape == data.shape
+        assert line_data.tobytes() == data.tobytes()
+
     @pytest.mark.parametrize("kind", sorted(FORMATS))
     def test_doubles_across_the_exponent_range(self, tmp_path, kind):
         # Random bit patterns reach subnormals, signed zeros and the extremes.
@@ -98,30 +128,49 @@ class TestAgainstCellReader:
         assert_reads_alike(write_text(tmp_path_factory.getbasetemp() / "t.csv", text))
 
 
-@pytest.mark.parametrize(
-    "text, line, column",
-    [
-        ("a,b\n1,2\n3,4#c\n", 3, "b"),  # "#" starts no comment
-        ("a,b\n1,2\n\n3,4\n", 3, None),  # blank line inside the body
-        ("a,b\n1,2\n3,4\n\n", 4, None),  # trailing blank line
-        ("a,b\n1,2\n\n3,x\n", 3, None),  # the blank line comes first
-        ("a,b\n1,2\n3,4\n\n5,x\n", 4, None),
-        ("a,b\n1,2\n3,4\n5,x\n", 4, "b"),
-        ("a,b\n1,2,\n3,4\n", 2, None),  # trailing comma
-        ("a,b\n1,2\n3,4,\n", 3, None),
-        ("a,b\n1,2,3\n4,5,6\n", 2, None),  # every row one wider than the header
-        ("a,b\nx,1,2\n", 2, None),  # too wide and not numeric: the width is reported
-        ("a,b\n1,2\n3\n", 3, None),
-        ("a,b\n1,2\n \n", 3, None),
-        ("a,b\n1,2\n3,inf\n", 3, "b"),
-        ("a,b\n1,nan\n3,x\n", 2, "b"),  # non-finite before not numeric
-        ("a,b\n1,2\n1e400,4\n", 3, "a"),
-        ("a,b\r\n1,2\r\n3,?\r\n", 3, "b"),
-        ('a,b\n"1",2\n3,"4"x\n', 3, "b"),
-    ],
-)
+# Bodies with one fault each: the file line and column the error must name.
+FAULTS = [
+    ("a,b\n1,2\n3,4#c\n", 3, "b"),  # "#" starts no comment
+    ("a,b\n1,2\n\n3,4\n", 3, None),  # blank line inside the body
+    ("a,b\n1,2\n3,4\n\n", 4, None),  # trailing blank line
+    ("a,b\n1,2\n\n3,x\n", 3, None),  # the blank line comes first
+    ("a,b\n1,2\n3,4\n\n5,x\n", 4, None),
+    ("a,b\n1,2\n3,4\n5,x\n", 4, "b"),
+    ("a,b\n1,2,\n3,4\n", 2, None),  # trailing comma
+    ("a,b\n1,2\n3,4,\n", 3, None),
+    ("a,b\n1,2,3\n4,5,6\n", 2, None),  # every row one wider than the header
+    ("a,b\nx,1,2\n", 2, None),  # too wide and not numeric: the width is reported
+    ("a,b\n1,2\n3\n", 3, None),
+    ("a,b\n1,2\n \n", 3, None),
+    ("a,b\n1,2\n3,inf\n", 3, "b"),
+    ("a,b\n1,nan\n3,x\n", 2, "b"),  # non-finite before not numeric
+    ("a,b\n1,2\nnan,x\n", 3, "a"),  # the same, within one line
+    ("a,b\n1,2\n1e400,4\n", 3, "a"),
+    ("a,b\r\n1,2\r\n3,?\r\n", 3, "b"),
+    ('a,b\n"1",2\n3,"4"x\n', 3, "b"),
+]
+
+
+@pytest.mark.parametrize("text, line, column", FAULTS)
 def test_fault_names_line_and_column(tmp_path, text, line, column):
-    path = write_text(tmp_path / "bad.csv", text)
+    assert_fault_named(write_text(tmp_path / "bad.csv", text), line, column)
+
+
+@pytest.mark.parametrize("text, line, column", FAULTS)
+def test_fault_message_does_not_depend_on_numpy_wording(tmp_path, monkeypatch, text, line, column):
+    loadtxt = np.loadtxt
+
+    def reworded(*args, **kwargs):
+        try:
+            return loadtxt(*args, **kwargs)
+        except ValueError:
+            raise ValueError("a message worded unlike any numpy release") from None
+
+    monkeypatch.setattr(np, "loadtxt", reworded)
+    assert_fault_named(write_text(tmp_path / "bad.csv", text), line, column)
+
+
+def assert_fault_named(path, line, column):
     with pytest.raises(DataError) as raised:
         read_dataset(path)
     message = str(raised.value)

@@ -224,8 +224,11 @@ class TestModelFile:
             ("payload", "x_loadings", [[1.0], [2.0], [3.0]]),
             ("payload", "y_loadings", [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
             ("payload", "x_loadings", [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+            ("metadata", "method", "pls"),
+            ("metadata", "tau", None),
         ],
-        ids=["tau", "center", "metric", "x_columns", "gamma", "x_loadings", "y_loadings", "singular"],
+        ids=["tau", "center", "metric", "x_columns", "gamma", "x_loadings", "y_loadings", "singular",
+             "method", "tau-null"],
     )
     def test_tampered_field_rejected(self, tmp_path, block, key, value):
         _, model = self.fit_small()
@@ -389,6 +392,25 @@ class TestCliFitPredict:
         assert code == 3
         assert "rows" in capsys.readouterr().err
 
+    def test_overflowing_prediction_is_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(12, 3))
+        model = fit_pls(X, X @ rng.normal(size=(3, 1)), n_components=2)
+        model_path, x_path, out_path = tmp_path / "m.json", tmp_path / "x.csv", tmp_path / "p.csv"
+        save_model(model, model_path, ["a", "b", "c"], ["y"])
+        doc = json.loads(model_path.read_text())
+        doc["payload"]["gamma"] = [[1e308], [1e308]]
+        model_path.write_text(json.dumps(doc))
+        write_csv(x_path, ["a", "b", "c"], X.tolist())
+        with np.errstate(over="ignore", invalid="ignore"):
+            first = np.argmin(np.isfinite(load_model(model_path)[0].predict(X)).all(axis=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["predict", "--model", str(model_path), "--x", str(x_path), "--out", str(out_path)])
+        assert code == 3
+        assert f"data row {first + 1}: the prediction overflows" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_non_numeric_cell_is_data_error(self, tmp_path, capsys):
         x_path = tmp_path / "x.csv"
         y_path = tmp_path / "y.csv"
@@ -444,6 +466,17 @@ class TestCliUsageErrors:
         code = main(["fit", "--x", x_path, "--y", y_path, "--seed", "1", "--out", str(tmp_path / "m.json")])
         assert code == 2
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, components",
+        [("fit", "0"), ("cv", "0..2"), ("cv", ",")],
+        ids=["fit-0", "cv-from-0", "cv-none"],
+    )
+    def test_components_below_one_is_usage_error(self, xy_files, tmp_path, capsys, command, components):
+        x_path, y_path, _, _ = xy_files
+        code = main([command, "--x", x_path, "--y", y_path, "--components", components, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_bad_candidate_range(self, xy_files, tmp_path, capsys):
         x_path, y_path, _, _ = xy_files
