@@ -67,10 +67,10 @@ def _add_fit_arguments(parser):
 
 
 def _recipe(args):
-    """The fit that ``--method``, ``--metric`` and ``--tau`` name."""
+    """The fit that ``--method``, ``--metric``, ``--tau`` and ``--center`` name."""
     if args.method == "pls":
-        return ModelRecipe("pls", "pls")
-    return ModelRecipe(f"fpqr-{args.metric}", "fpqr", args.metric, args.tau)
+        return ModelRecipe("pls", "pls", center=args.center)
+    return ModelRecipe(f"fpqr-{args.metric}", "fpqr", args.metric, args.tau, args.center)
 
 
 def _load_xy(args):
@@ -103,7 +103,7 @@ class _UsageError(Exception):
 def cmd_fit(args):
     X, Y, x_names, y_names = _load_xy(args)
     recipe = _recipe(args)
-    model = recipe.fit(X, Y, args.components, center=args.center)
+    model = recipe.fit(X, Y, args.components)
     if recipe.tau is None:
         objective = test_mse(Y, model.predict(X))
         detail = "objective=mse"
@@ -163,11 +163,7 @@ def _parse_candidates(text):
 def cmd_cv(args):
     candidates = _parse_candidates(args.components)
     X, Y, _, _ = _load_xy(args)
-    recipe = _recipe(args)
-    result = cross_validate(
-        X, Y, candidates, folds=args.folds, seed=args.seed,
-        fitter=lambda X_train, Y_train, h: recipe.fit(X_train, Y_train, h, center=args.center),
-    )
+    result = cross_validate(X, Y, candidates, folds=args.folds, seed=args.seed, fitter=_recipe(args))
     write_matrix_csv(
         args.out,
         ["components", "meanCvError"],

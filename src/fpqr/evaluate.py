@@ -7,9 +7,9 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import InvalidSpec, ShapeMismatch
-from .fpqr import FPQR_METRICS, fit_fpqr
+from .fpqr import FPQR_METRICS, fit_fpqr, quantile_parts
 from .linalg import as_matrix
-from .pls import fit_pls
+from .pls import PLS_PARTS, as_count, component_cap, component_path, fit_pls, resolve_components
 from .quantreg import check_loss, validate_tau
 
 # ---------------------------------------------------------------------------
@@ -66,11 +66,17 @@ class ModelRecipe:
     method: str
     metric: Optional[str] = None
     tau: Optional[float] = None
+    center: str = "mean"
 
-    def fit(self, X, Y, n_components, center="mean"):
+    def fit(self, X, Y, n_components):
         if self.method == "pls":
-            return fit_pls(X, Y, n_components, center=center)
-        return fit_fpqr(X, Y, n_components, tau=self.tau, metric=self.metric, center=center)
+            return fit_pls(X, Y, n_components, center=self.center)
+        return fit_fpqr(X, Y, n_components, tau=self.tau, metric=self.metric, center=self.center)
+
+    def path(self, X, Y, n_components):
+        """``finish(h)``: :meth:`fit` at any ``h`` up to ``n_components``, from one extraction."""
+        parts = PLS_PARTS if self.method == "pls" else quantile_parts(self.tau, self.metric)
+        return component_path(X, Y, n_components, self.center, *parts)
 
 
 def parse_recipe(text):
@@ -106,11 +112,17 @@ class CvResult:
     invalid_candidates: dict = field(default_factory=dict)
 
 
-def _validate_seed(seed):
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    return seed
+_FIT_ERRORS = (ValueError, RuntimeError, np.linalg.LinAlgError)
+
+
+def _fold_fits(fitter, X_train, Y_train, candidates):
+    """``h -> model`` on one fold's training rows: a recipe extracts once, at the largest fitting candidate."""
+    if not isinstance(fitter, ModelRecipe):
+        return lambda h: fitter(X_train, Y_train, h)
+    fitting = [h for h in candidates if h <= component_cap(*X_train.shape)]
+    if not fitting:  # extract nothing; each candidate raises resolve_components' error
+        return lambda h: resolve_components(h, *X_train.shape)
+    return fitter.path(X_train, Y_train, max(fitting))
 
 
 def cross_validate(X, Y, candidates, folds=5, fitter=None, seed=0):
@@ -119,8 +131,13 @@ def cross_validate(X, Y, candidates, folds=5, fitter=None, seed=0):
     Rows are shuffled once with a generator keyed by ``seed`` and split into
     ``folds`` contiguous blocks. Centering happens inside each training fit,
     so no statistic of the held-out rows leaks into it. A candidate whose fit
-    or prediction fails in any fold is excluded and recorded. Exact error
-    ties go to the smaller component count.
+    or prediction fails in any fold is excluded and recorded with the first
+    fold it failed in. Exact error ties go to the smaller component count.
+
+    A :class:`ModelRecipe` extracts once per fold, at the largest candidate the
+    fold supports, and finishes each h from the first h components, bit for
+    bit the refit at h; if that extraction raises, every candidate left is
+    excluded with ``"fold i: <error>"``. A callable fitter refits per candidate.
     """
     X = as_matrix(X, "X")
     Y = _as_2d(Y, "Y")
@@ -128,50 +145,50 @@ def cross_validate(X, Y, candidates, folds=5, fitter=None, seed=0):
         raise ShapeMismatch(f"X has {X.shape[0]} rows, Y has {Y.shape[0]}")
     if fitter is None:
         raise ValueError("fitter is required: a ModelRecipe or a callable (X, Y, h) -> model")
-    folds = int(folds)
+    folds = as_count(folds, "folds")
     n = X.shape[0]
     if folds < 2:
         raise ValueError("folds must be at least 2")
     if folds > n:
         raise ValueError(f"folds must not exceed the {n} available rows")
-    candidates = sorted({int(h) for h in candidates})
+    candidates = sorted({as_count(h, "candidate component counts") for h in candidates})
     if not candidates:
         raise ValueError("candidates must be non-empty")
     if candidates[0] < 1:
         raise ValueError("candidate component counts must be positive")
-    seed = _validate_seed(seed)
+    seed = as_count(seed, "seed")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, _CV_STREAM)))
     order = rng.permutation(n)
     blocks = np.array_split(order, folds)
 
-    def fit_one(Xtr, Ytr, h):
-        if isinstance(fitter, ModelRecipe):
-            return fitter.fit(Xtr, Ytr, h)
-        return fitter(Xtr, Ytr, h)
-
-    errors = {}
+    fold_errors = {h: [] for h in candidates}
     invalid = {}
-    for h in candidates:
-        fold_errors = []
-        for i, held_out in enumerate(blocks):
-            mask = np.ones(n, dtype=bool)
-            mask[held_out] = False
+    for i, held_out in enumerate(blocks):
+        mask = np.ones(n, dtype=bool)
+        mask[held_out] = False
+        scored = [h for h in candidates if h not in invalid]
+        try:
+            fit_at = _fold_fits(fitter, X[mask], Y[mask], scored)
+        except _FIT_ERRORS as exc:
+            invalid.update(dict.fromkeys(scored, f"fold {i}: {exc}"))
+            continue
+        for h in scored:
             try:
-                model = fit_one(X[mask], Y[mask], h)
-                predicted = model.predict(X[~mask])
-            except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
+                predicted = fit_at(h).predict(X[~mask])
+            except _FIT_ERRORS as exc:
                 invalid[h] = f"fold {i}: {exc}"
-                break
-            fold_errors.append(test_mse(Y[~mask], predicted))
-        else:
-            errors[h] = float(np.mean(fold_errors))
+                continue
+            fold_errors[h].append(test_mse(Y[~mask], predicted))
 
-    if not errors:
+    valid = [h for h in candidates if h not in invalid]
+    if not valid:
         raise ValueError(f"every candidate failed cross-validation: {invalid}")
-    valid = sorted(errors)
-    chosen = min(valid, key=lambda h: (errors[h], h))
-    return CvResult(valid, [errors[h] for h in valid], chosen, invalid)
+    errors = [float(np.mean(fold_errors[h])) for h in valid]
+    chosen = min(zip(errors, valid))[1]
+    return CvResult(valid, errors, chosen, invalid)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +397,7 @@ def run_study(spec, recipes):
             try:
                 model = recipe.fit(X, Y, spec.n_components)
                 predicted = model.predict(X_test)
-            except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
+            except _FIT_ERRORS as exc:
                 failure = (repetition, recipe.tag, str(exc))
                 break
             elapsed = time.perf_counter() - started

@@ -17,6 +17,34 @@ from .quantreg import fit_quantile_regression, validate_tau
 FPQR_METRICS = ("li", "dodge", "choi")
 
 
+def quantile_parts(tau=0.5, metric="li", least_squares_gamma=False):
+    """What :func:`fit_fpqr` hands the fitting core after ``center``: cross product, inner fit, metric, tau."""
+    tau = validate_tau(tau)
+    if callable(metric):
+        kind, cross_product = "custom", metric
+    else:
+        kind = metric
+        if kind == "classical" and not least_squares_gamma:
+            raise ValueError(
+                "the classical covariance reproduces the mean-based fit; "
+                "use fit_pls, or pass least_squares_gamma=True for the equivalence path"
+            )
+        qm = QcovMetric(kind, tau)
+        cross_product = lambda Xa, Ya: qcov_matrix(Xa, Ya, qm)
+
+    def quantile_inner(scores, Yc):
+        gamma = np.zeros((scores.shape[1], Yc.shape[1]))
+        intercepts = np.zeros(Yc.shape[1])
+        for k in range(Yc.shape[1]):
+            fit = fit_quantile_regression(scores, Yc[:, k], tau, with_intercept=True)
+            gamma[:, k] = fit.coefficients
+            intercepts[k] = fit.intercept
+        return gamma, intercepts
+
+    inner = _least_squares_inner if least_squares_gamma else quantile_inner
+    return cross_product, inner, kind, tau
+
+
 def fit_fpqr(X, Y, n_components=None, tau=0.5, metric="li", center="mean", least_squares_gamma=False):
     """Fit a latent-component model for the ``tau`` conditional quantile.
 
@@ -47,30 +75,7 @@ def fit_fpqr(X, Y, n_components=None, tau=0.5, metric="li", center="mean", least
     FittedModel
         With ``tau`` set, so :func:`predict_quantile` accepts it.
     """
-    tau = validate_tau(tau)
-    if callable(metric):
-        kind, cross_product = "custom", metric
-    else:
-        kind = metric
-        if kind == "classical" and not least_squares_gamma:
-            raise ValueError(
-                "the classical covariance reproduces the mean-based fit; "
-                "use fit_pls, or pass least_squares_gamma=True for the equivalence path"
-            )
-        qm = QcovMetric(kind, tau)
-        cross_product = lambda Xa, Ya: qcov_matrix(Xa, Ya, qm)
-
-    def quantile_inner(scores, Yc):
-        gamma = np.zeros((scores.shape[1], Yc.shape[1]))
-        intercepts = np.zeros(Yc.shape[1])
-        for k in range(Yc.shape[1]):
-            fit = fit_quantile_regression(scores, Yc[:, k], tau, with_intercept=True)
-            gamma[:, k] = fit.coefficients
-            intercepts[k] = fit.intercept
-        return gamma, intercepts
-
-    inner = _least_squares_inner if least_squares_gamma else quantile_inner
-    return _fit(X, Y, n_components, center, cross_product, inner, metric=kind, tau=tau)
+    return _fit(X, Y, n_components, center, *quantile_parts(tau, metric, least_squares_gamma))
 
 
 def predict_quantile(model, X):

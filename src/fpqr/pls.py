@@ -1,16 +1,17 @@
 """Latent-component regression on the NIPALS pattern.
 
-One fitting core (:func:`_fit`) serves both flavors. It validates and centers
-the data, runs the extraction loop, fits the inner coefficients on the scores
-and maps them back to predictor space. Each extraction round takes the leading
-left singular direction of a cross-product matrix between the current
-(deflated) predictor and response blocks, forms a score, and deflates both
-blocks by that score's rank-one contribution. The two flavors differ only in
-the two functions they hand the core: the mean-based fit (:func:`fit_pls`)
-uses the plain cross product and least squares; the quantile fit swaps in a
-quantile dependence metric and quantile regression.
+One fitting core (:func:`component_path`) serves both flavors. It validates
+and centers the data, runs the extraction loop, fits the inner coefficients
+on the scores and maps them back to predictor space. Each extraction round
+takes the leading left singular direction of a cross-product matrix between
+the current (deflated) predictor and response blocks, forms a score, and
+deflates both blocks by that score's rank-one contribution. The two flavors
+differ only in the two functions they hand the core: the mean-based fit
+(:func:`fit_pls`) uses the plain cross product and least squares; the
+quantile fit swaps in a quantile dependence metric and quantile regression.
 """
 
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -99,14 +100,26 @@ class FittedModel:
         return centered @ self.coefficients + self.intercepts + self.y_centering.column_centers
 
 
+def as_count(value, name):
+    """``value`` as a Python int; a float or a bool is rejected rather than truncated."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def component_cap(n, m):
+    """The most components ``n`` rows of ``m`` predictors support."""
+    return min(n - 1, m)
+
+
 def resolve_components(n_components, n, m):
     """Validate a component count against the data size, defaulting to min(10, m, n-1)."""
-    cap = min(n - 1, m)
+    cap = component_cap(n, m)
     if cap < 1:
         raise ValueError("need at least 2 rows to extract a component")
     if n_components is None:
         return min(10, cap)
-    h = int(n_components)
+    h = as_count(n_components, "components")
     if not 1 <= h <= cap:
         raise ValueError(f"components must lie in [1, {cap}] for this data, got {h}")
     return h
@@ -167,7 +180,7 @@ def back_project(decomposition, gamma, n_features, n_responses):
         warnings.warn(
             "loading/weight system is ill conditioned; coefficients may be unstable",
             IllConditionedWarning,
-            stacklevel=4,
+            stacklevel=5,
         )
     try:
         R = np.linalg.solve(M, gamma)
@@ -183,12 +196,17 @@ def _least_squares_inner(scores, Yc):
     return gamma, np.zeros(l)
 
 
-def _fit(X, Y, n_components, center, cross_product, inner, metric=None, tau=None):
-    """The fitting core shared by :func:`fit_pls` and :func:`fit_fpqr`.
+# What fit_pls hands the fitting core after ``center``: cross product, inner fit, metric, tau.
+PLS_PARTS = (lambda Xa, Ya: Xa.T @ Ya, _least_squares_inner, None, None)
 
-    ``cross_product`` drives :func:`extract_components`; ``inner(scores, Yc)``
-    returns the inner coefficients ``gamma`` (h, l) and the intercepts (l,).
-    ``metric`` and ``tau`` are recorded on the model as given.
+
+def component_path(X, Y, n_components, center, cross_product, inner, metric=None, tau=None):
+    """Validate and center the data, extract ``n_components``, and return ``finish``.
+
+    ``finish(h)`` is the fit at any ``h`` up to ``n_components`` bit for bit,
+    early stop included: extraction reads the count only as its loop bound, and
+    the first h components are copied to contiguous memory before use.
+    ``inner(scores, Yc)`` returns ``gamma`` (h, l) and the intercepts (l,).
     """
     X = as_matrix(X, "X")
     Y = as_matrix(Y, "Y")
@@ -196,22 +214,35 @@ def _fit(X, Y, n_components, center, cross_product, inner, metric=None, tau=None
         raise DimensionMismatch(f"X has {X.shape[0]} rows, Y has {Y.shape[0]}")
     n, m = X.shape
     l = Y.shape[1]
-    h = resolve_components(n_components, n, m)
+    extracted = resolve_components(n_components, n, m)
     Xc, x_info = center_columns(X, center)
     Yc, y_info = center_columns(Y, center)
-    decomposition = extract_components(Xc, Yc, h, cross_product)
-    gamma, intercepts = inner(decomposition.scores, Yc)
-    return FittedModel(
-        decomposition=decomposition,
-        gamma=gamma,
-        intercepts=intercepts,
-        coefficients=back_project(decomposition, gamma, m, l),
-        x_centering=x_info,
-        y_centering=y_info,
-        metric=metric,
-        tau=tau,
-        requested_components=h,
-    )
+    path = extract_components(Xc, Yc, extracted, cross_product)
+
+    def finish(h):
+        h = resolve_components(h, n, m)
+        if h > extracted:
+            raise ValueError(f"the path holds {extracted} components, got {h}")
+        prefix = LatentDecomposition(*(np.ascontiguousarray(a[:, :h]) for a in vars(path).values()))
+        gamma, intercepts = inner(prefix.scores, Yc)
+        return FittedModel(
+            decomposition=prefix,
+            gamma=gamma,
+            intercepts=intercepts,
+            coefficients=back_project(prefix, gamma, m, l),
+            x_centering=x_info,
+            y_centering=y_info,
+            metric=metric,
+            tau=tau,
+            requested_components=h,
+        )
+
+    return finish
+
+
+def _fit(X, Y, n_components, center, cross_product, inner, metric=None, tau=None):
+    """The fit shared by :func:`fit_pls` and :func:`fit_fpqr`: a path extracted and finished at one count."""
+    return component_path(X, Y, n_components, center, cross_product, inner, metric, tau)(n_components)
 
 
 def fit_pls(X, Y, n_components=None, center="mean"):
@@ -231,7 +262,7 @@ def fit_pls(X, Y, n_components=None, center="mean"):
         With ``metric`` and ``tau`` unset; the inner coefficients solve an
         ordinary least-squares problem on the (orthogonal) scores.
     """
-    return _fit(X, Y, n_components, center, lambda Xa, Ya: Xa.T @ Ya, _least_squares_inner)
+    return _fit(X, Y, n_components, center, *PLS_PARTS)
 
 
 def predict(model, X):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fpqr.pls
 from fpqr import (
     ModelRecipe,
     beta_distance,
     cross_validate,
+    fit_fpqr,
     fit_pls,
     generate_simulation,
     make_simulation_spec,
@@ -150,6 +152,157 @@ class TestCrossValidate:
         X, Y = rank3_data(seed=12)
         with pytest.raises(ValueError, match="seed"):
             cross_validate(X, Y, [1], fitter=ModelRecipe("pls", "pls"), seed=-1)
+
+    @pytest.mark.parametrize(
+        "candidates, folds, seed",
+        [([1.5, 2.9], 5, 0), ([1, True], 5, 0), ([1, 2], 2.9, 0), ([1, 2], 5, 1.5)],
+        ids=["float-candidates", "bool-candidate", "float-folds", "float-seed"],
+    )
+    def test_non_integral_counts_rejected(self, candidates, folds, seed):
+        X, Y = rank3_data(seed=13)
+        with pytest.raises(ValueError, match="must be an integer"):
+            cross_validate(X, Y, candidates, folds=folds, fitter=ModelRecipe("pls", "pls"), seed=seed)
+        exact = cross_validate(X, Y, [np.int64(1), 2], folds=np.int64(5), fitter=ModelRecipe("pls", "pls"))
+        assert exact.candidate_components == [1, 2]
+
+
+def recipe_at(tag, center):
+    base = parse_recipe(tag)
+    return ModelRecipe(base.tag, base.method, base.metric, base.tau, center)
+
+
+def rank2_data(seed=21, n=40, m=6, l=2):
+    rng = np.random.default_rng(seed)
+    T = rng.normal(size=(n, 2))
+    return T @ rng.normal(size=(m, 2)).T, T @ rng.normal(size=(2, l)) + rng.standard_t(3, size=(n, l))
+
+
+RECIPES = ["pls", "fpqr-li", "fpqr-dodge", "fpqr-choi", "fpqr-li@0.25", "fpqr-dodge@0.25", "fpqr-choi@0.25"]
+
+
+@pytest.mark.filterwarnings("ignore::fpqr.exceptions.DiscordantSlopesWarning")
+@pytest.mark.filterwarnings("ignore::fpqr.exceptions.ZeroVarianceWarning")
+class TestComponentPath:
+    """A recipe's one extraction per fold against a refit per candidate."""
+
+    @staticmethod
+    def assert_same_cv(X, Y, candidates, recipe, folds=5):
+        path = cross_validate(X, Y, candidates, folds=folds, fitter=recipe, seed=3)
+        refit = cross_validate(
+            X, Y, candidates, folds=folds, fitter=lambda Xt, Yt, h: recipe.fit(Xt, Yt, h), seed=3
+        )
+        assert path.candidate_components == refit.candidate_components
+        assert np.array(path.mean_cv_error).tobytes() == np.array(refit.mean_cv_error).tobytes()
+        assert path.chosen_components == refit.chosen_components
+        assert path.invalid_candidates == refit.invalid_candidates
+        return path
+
+    @pytest.mark.parametrize("center", ["mean", "none"])
+    @pytest.mark.parametrize("tag", RECIPES)
+    def test_cv_equals_refit_per_candidate(self, tag, center):
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(45, 7)) + 1.0
+        Y = X @ rng.normal(size=(7, 2)) + rng.standard_t(3, size=(45, 2))
+        self.assert_same_cv(X, Y, range(1, 6), recipe_at(tag, center))
+
+    @pytest.mark.parametrize("tag", RECIPES)
+    def test_early_stop_is_reused_by_larger_candidates(self, tag):
+        X, Y = rank2_data()
+        recipe = recipe_at(tag, "mean")
+        assert recipe.path(X, Y, 5)(5).effective_components == 2
+        self.assert_same_cv(X, Y, range(1, 6), recipe)
+
+    def test_candidate_over_a_fold_cap_keeps_its_message(self):
+        # 11 rows in 5 folds: fold 0 trains on 8 rows (at most 7 components), the rest on 9
+        rng = np.random.default_rng(19)
+        X = rng.normal(size=(11, 20))
+        Y = rng.normal(size=(11, 1))
+        result = self.assert_same_cv(X, Y, [1, 3, 8], ModelRecipe("pls", "pls"))
+        assert result.candidate_components == [1, 3]
+        assert result.invalid_candidates == {8: "fold 0: components must lie in [1, 7] for this data, got 8"}
+
+    @pytest.mark.parametrize("center", ["mean", "none"])
+    @pytest.mark.parametrize("tag", RECIPES)
+    def test_prefix_equals_fit_at_each_count(self, tag, center):
+        rng = np.random.default_rng(29)
+        X = rng.normal(size=(40, 6)) + 0.5
+        Y = X @ rng.normal(size=(6, 2)) + rng.standard_t(3, size=(40, 2))
+        recipe = recipe_at(tag, center)
+        for data in ((X, Y), rank2_data()):
+            finish = recipe.path(*data, 6)
+            for h in range(1, 7):
+                prefix = finish(h)
+                if recipe.method == "pls":
+                    fit = fit_pls(*data, h, center=center)
+                else:
+                    fit = fit_fpqr(*data, h, tau=recipe.tau, metric=recipe.metric, center=center)
+                for name in ("coefficients", "gamma", "intercepts"):
+                    assert getattr(prefix, name).tobytes() == getattr(fit, name).tobytes(), (name, h)
+                assert prefix.requested_components == fit.requested_components == h
+                assert prefix.effective_components == fit.effective_components
+
+class TestCvWorkCount:
+    @pytest.fixture
+    def extractions(self, monkeypatch):
+        real = fpqr.pls.extract_components
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(fpqr.pls, "extract_components", counting)
+        return calls
+
+    def test_recipe_extracts_once_per_fold_at_its_largest_valid_candidate(self, extractions):
+        X, Y = rank3_data(seed=15)
+        cross_validate(X, Y, [1, 2, 4], folds=5, fitter=ModelRecipe("pls", "pls"), seed=0)
+        assert extractions == [4] * 5
+
+    def test_fold_cap_bounds_the_extraction(self, extractions):
+        # fold 0 trains on 8 rows and supports 7 components; 8 is excluded there, so no fold extracts 8
+        rng = np.random.default_rng(19)
+        X = rng.normal(size=(11, 20))
+        Y = rng.normal(size=(11, 1))
+        cross_validate(X, Y, [2, 7, 8], folds=5, fitter=ModelRecipe("pls", "pls"), seed=0)
+        assert extractions == [7] * 5
+
+    def test_fold_without_a_valid_candidate_extracts_nothing(self, extractions):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(10, 4))
+        Y = rng.normal(size=(10, 1))
+        with pytest.raises(ValueError, match="every candidate failed"):
+            cross_validate(X, Y, [5, 6], folds=5, fitter=ModelRecipe("pls", "pls"), seed=0)
+        assert extractions == []
+
+    def test_extraction_error_excludes_every_candidate_of_its_fold(self, extractions, monkeypatch):
+        counting = fpqr.pls.extract_components
+
+        def failing_in_fold_1(*args):
+            decomposition = counting(*args)
+            if len(extractions) == 2:
+                raise np.linalg.LinAlgError("synthetic failure")
+            return decomposition
+
+        monkeypatch.setattr(fpqr.pls, "extract_components", failing_in_fold_1)
+        X, Y = rank3_data(seed=14)
+        with pytest.raises(ValueError, match="every candidate failed") as caught:
+            cross_validate(X, Y, [1, 2, 3], fitter=ModelRecipe("pls", "pls"), seed=0)
+        expected = {h: "fold 1: synthetic failure" for h in (1, 2, 3)}
+        assert f"every candidate failed cross-validation: {expected}" in str(caught.value)
+        assert extractions == [3, 3]
+
+    def test_callable_fitter_refits_per_candidate_and_fold(self, extractions):
+        X, Y = rank3_data(seed=16)
+        calls = []
+
+        def fitter(Xt, Yt, h):
+            calls.append(h)
+            return fit_pls(Xt, Yt, h)
+
+        cross_validate(X, Y, [1, 2, 3], folds=4, fitter=fitter, seed=0)
+        assert sorted(calls) == [1] * 4 + [2] * 4 + [3] * 4
+        assert sorted(extractions) == sorted(calls)
 
 
 class TestSimulationSpec:

@@ -531,11 +531,16 @@ class TestCliCv:
         assert list(table[:, 0]) == [1, 2, 3, 4, 5, 6]
 
     @pytest.mark.parametrize(
-        "flags, tau, center",
-        [(["--center", "none"], 0.5, "none"), (["--tau", "0.1234567"], 0.1234567, "mean")],
-        ids=["center-none", "tau-seven-digits"],
+        "flags, fit",
+        [
+            (["--center", "none"], lambda Xt, Yt, h: fit_fpqr(Xt, Yt, h, tau=0.5, metric="li", center="none")),
+            (["--tau", "0.1234567"], lambda Xt, Yt, h: fit_fpqr(Xt, Yt, h, tau=0.1234567, metric="li")),
+            (["--method", "pls"], lambda Xt, Yt, h: fit_pls(Xt, Yt, h)),
+            (["--metric", "dodge"], lambda Xt, Yt, h: fit_fpqr(Xt, Yt, h, tau=0.5, metric="dodge")),
+        ],
+        ids=["center-none", "tau-seven-digits", "method-pls", "metric-dodge"],
     )
-    def test_settings_reach_the_fit(self, tmp_path, flags, tau, center):
+    def test_settings_reach_the_fit(self, tmp_path, flags, fit):
         # 90 rows in 10 folds train on 81, and 81 * 0.1234567 lies just below
         # 10, so the seventh digit of tau moves the empirical quantile's rank.
         rng = np.random.default_rng(4)
@@ -551,10 +556,7 @@ class TestCliCv:
             *flags, "--out", str(out_path),
         ])
         assert code == 0
-        expected = cross_validate(
-            X, Y, [1, 2, 3], folds=10, seed=0,
-            fitter=lambda Xt, Yt, h: fit_fpqr(Xt, Yt, h, tau=tau, metric="li", center=center),
-        )
+        expected = cross_validate(X, Y, [1, 2, 3], folds=10, seed=0, fitter=fit)
         _, table = read_dataset(out_path)
         assert_array_equal(table[:, 0], expected.candidate_components)
         assert_array_equal(table[:, 1], expected.mean_cv_error)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fpqr import fit_pls, predict
+from fpqr import fit_fpqr, fit_pls, predict
 from fpqr.exceptions import DimensionMismatch, IllConditionedWarning, RankDeficient
 from fpqr.pls import LatentDecomposition, back_project, resolve_components
 
@@ -27,6 +27,14 @@ class TestResolveComponents:
         with pytest.raises(ValueError, match=r"\[1, 9\]"):
             resolve_components(30, n=10, m=50)
         assert resolve_components(3, n=100, m=50) == 3
+
+    @pytest.mark.parametrize("count", [2.7, 2.0, True, np.float64(3.0)])
+    @pytest.mark.parametrize("fit", [fit_pls, fit_fpqr])
+    def test_non_integral_count_rejected(self, fit, count):
+        X, Y = make_data(seed=3)
+        with pytest.raises(ValueError, match="components must be an integer"):
+            fit(X, Y, count)
+        assert fit(X, Y, np.int64(2)).requested_components == 2
 
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
