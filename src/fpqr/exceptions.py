@@ -10,7 +10,7 @@ class RankDeficient(RuntimeError):
 
 
 class SolverFailure(RuntimeError):
-    """The quantile-regression solver did not return an optimal point."""
+    """The quantile-regression simplex reached its pivot cap without an optimal vertex."""
 
 
 class LengthMismatch(ValueError):

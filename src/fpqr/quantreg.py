@@ -1,14 +1,12 @@
 """Linear quantile regression for a single response, solved as the dual of
-the check-loss linear program (one bounded variable per observation, one
-equality constraint per parameter); an exact batched search for one-regressor
-quantile slopes; and the scalar pieces both are built from (check loss, its
-subgradient weight, empirical quantiles)."""
+the check-loss linear program by an exact bound-flipping simplex; an exact
+batched search for one-regressor quantile slopes; and the scalar pieces both
+are built from (check loss, its subgradient weight, empirical quantiles)."""
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .exceptions import (
     DegenerateDesignWarning,
@@ -28,6 +26,8 @@ _FLAT_RTOL = 1e-12
 _BRACKET_RTOL = 2.0**-40
 # Residuals this many machine epsilons of the data scale apart count as tied.
 _TIE_EPS = 8 * np.finfo(float).eps
+# Pivots the inner simplex may take, per row and parameter, before it gives up.
+_PIVOT_CAP = 50
 
 
 def validate_tau(tau):
@@ -94,25 +94,80 @@ class QrFit:
 
 
 def _solve_lp(D, y, tau):
-    # The dual of the check-loss program (Koenker & Bassett 1978): maximize
-    # y @ a subject to D.T @ a = 0 and tau - 1 <= a <= tau. It has one box-
-    # bounded variable per row and one constraint per parameter, and the
-    # coefficients are the multipliers of those constraints (the sign flips
-    # because linprog minimizes -y @ a).
-    k = D.shape[1]
-    res = linprog(-y, A_eq=D.T, b_eq=np.zeros(k), bounds=(tau - 1.0, tau), method="highs")
-    if not res.success:
-        raise SolverFailure(f"quantile-regression program did not solve: {res.message}")
-    # The multipliers carry solver tolerance. The optimum they approximate
-    # interpolates the rows whose dual value lies strictly inside the box, so
-    # when there are exactly k of them one solve on those rows lands on it.
-    basic = (res.x > tau - 1.0) & (res.x < tau)
-    if np.count_nonzero(basic) == k:
-        try:
-            return np.linalg.solve(D[basic], y[basic]), int(res.nit)
-        except np.linalg.LinAlgError:
-            pass
-    return -res.eqlin.marginals, int(res.nit)
+    # Simplex on the dual (see fit_quantile_regression's Notes). A vertex
+    # interpolates the k basis rows; every other row's a sits at the bound its
+    # residual's sign gives, and D.T @ a = 0 fixes a_B = -D_B^-T D_N^T a_N.
+    # A basis row whose a_B is outside the box leaves, and one ratio test
+    # passes every residual that changes sign, flipping its bound, until the
+    # directional derivative is no longer negative; that row enters.
+    n, k = D.shape
+    params = np.zeros(k)
+    # Columns dependent on earlier ones get coefficient 0; past R's first
+    # vanishing diagonal the factors say nothing, so refactor without it.
+    keep = np.ones(k, dtype=bool)
+    while True:
+        q, r = np.linalg.qr(D[:, keep])
+        small = np.abs(np.diagonal(r)) <= max(n, k) * np.finfo(float).eps * np.linalg.norm(D[:, keep], axis=0)
+        if not small.any():
+            break
+        keep[np.flatnonzero(keep)[small.argmax()]] = False
+    D = D[:, keep]
+    # The simplex runs on q: the same program and vertices, beta = R^-1 gamma,
+    # without D's conditioning. It starts on the rows a pivoted Gram-Schmidt
+    # picks, rows weighted by 1/|least-squares residual less its tau-quantile|
+    # (at most 1e8 apart, so rounding cannot pick a dependent row).
+    residual = y - q @ (q.T @ y)
+    gap = np.abs(residual - empirical_quantile(residual, tau))
+    scaled = q / np.maximum(gap, 1e-8 * max(gap.max(), np.abs(y).max()) or 1.0)[:, None]
+    basis = np.empty(D.shape[1], dtype=np.intp)
+    for c in range(basis.size):
+        norms = np.einsum("ij,ij->i", scaled, scaled)
+        basis[c] = i = norms.argmax()
+        unit = scaled[i] / np.sqrt(norms[i])
+        scaled -= np.multiply.outer(scaled @ unit, unit)
+    dual_slack = _TIE_EPS * max(tau, 1.0 - tau) * np.abs(q).sum(axis=0)
+    tie_y, tie_q = _TIE_EPS * np.abs(y), _TIE_EPS * np.abs(q)
+    # Ties are broken as if y were y + e * w for an infinitesimal e > 0, so
+    # every pivot lowers that loss and no basis recurs on tied data.
+    w = np.sin(np.arange(1.0, n + 1.0))
+    inverse = np.linalg.inv(q[basis])
+    y_basis, w_basis = y[basis], w[basis]
+    residual = y - q @ (inverse @ y_basis)
+    tied = np.abs(residual) <= tie_y + tie_q @ (np.abs(inverse) @ np.abs(y_basis))
+    a = np.where(np.where(tied, w - q @ (inverse @ w_basis), residual) < 0.0, tau - 1.0, tau)
+    a[basis] = 0.0  # off the basis, a sits at the bound its residual's sign gives
+    cap = _PIVOT_CAP * (n + k)
+    for pivots in range(cap + 1):
+        minus_dual = (a @ q) @ inverse
+        size = np.abs(inverse)
+        excess = np.abs(minus_dual + (tau - 0.5)) - 0.5
+        over = excess - dual_slack @ size
+        if not (over > 0.0).any():
+            break
+        if pivots == cap:
+            raise SolverFailure(f"quantile-regression simplex found no optimal vertex in {cap} pivots")
+        j = over.argmax()
+        up = minus_dual[j] < -tau  # the leaving row's residual turns positive
+        z = q @ (-inverse[:, j] if up else inverse[:, j])  # residuals fall by t * z
+        rows = np.flatnonzero(a * z > tie_q @ size[:, j])  # falling to 0 beyond rounding
+        slope = z[rows]
+        pull = np.abs(slope)
+        residual = (y - q @ (inverse @ y_basis))[rows]
+        tie = (tie_y + tie_q @ (size @ np.abs(y_basis)))[rows]
+        steps = np.where(residual * slope > tie * pull, residual / slope, 0.0)
+        order = np.lexsort(((w - q @ (inverse @ w_basis))[rows] / slope, steps))
+        m = np.cumsum(pull[order]).searchsorted(excess[j])  # first row past which the slope is >= 0
+        enter, passed = rows[order[m]], rows[order[:m]]
+        a[passed] = (2.0 * tau - 1.0) - a[passed]  # tau <-> tau - 1
+        a[basis[j]], a[enter] = (tau if up else tau - 1.0), 0.0
+        basis[j], y_basis[j], w_basis[j] = enter, y[enter], w[enter]
+        u = q[enter] @ inverse
+        column = inverse[:, j] / u[j]
+        inverse -= np.multiply.outer(column, u)
+        inverse[:, j] = column
+    rows = np.sort(basis)
+    params[keep] = np.linalg.solve(D[rows], y[rows])
+    return params, pivots
 
 
 def fit_quantile_regression(X, y, tau, with_intercept=True):
@@ -138,15 +193,16 @@ def fit_quantile_regression(X, y, tau, with_intercept=True):
     Notes
     -----
     The fit solves the dual of the check-loss program (Koenker & Bassett
-    1978) with HiGHS: maximize ``y @ a`` subject to ``D.T @ a = 0`` and
-    ``tau - 1 <= a <= tau``, where ``D`` stacks the predictor columns and
-    the intercept column. That program has one box-bounded variable per
-    observation and one constraint per parameter; the coefficients are the
-    multipliers of the constraints. When exactly as many rows as parameters
-    have a dual value strictly inside the bounds, the coefficients are
-    instead solved from those rows, which the optimum interpolates, so they
-    carry rounding error only. ``QrFit.iterations`` counts HiGHS's
-    dual-simplex iterations on this program.
+    1978), maximize ``y @ a`` subject to ``D.T @ a = 0`` and
+    ``tau - 1 <= a <= tau`` (``D`` stacks the predictors and the intercept
+    column), by an exact simplex after Barrodale & Roberts (1974) on an
+    orthonormal basis of ``D``'s columns. It stops on an LP certificate: the
+    duals of the k rows its vertex interpolates lie in the box. Residuals
+    within 8 machine epsilons of the data scale count as zero and ties are
+    broken lexicographically, so tied data cannot cycle. Columns dependent on
+    earlier ones get coefficient 0. The coefficients are one k-by-k solve on
+    the interpolated rows in ascending order. ``QrFit.iterations`` counts the
+    pivots; past ``50 * (n + k)`` :class:`SolverFailure` is raised.
 
     With an intercept present, a constant predictor column is collinear with
     it; such columns are dropped, reported through
@@ -186,22 +242,10 @@ def fit_quantile_regression(X, y, tau, with_intercept=True):
             )
             active &= ~constant
 
-    blocks = []
-    if active.any():
-        blocks.append(X[:, active])
-    if with_intercept:
-        blocks.append(np.ones((n, 1)))
-
+    params, iterations = _solve_lp(np.hstack([X[:, active], np.ones((n, int(with_intercept)))]), y, tau)
     coefficients = np.zeros(p)
-    intercept = 0.0
-    iterations = 0
-    if blocks:
-        D = np.hstack(blocks)
-        params, iterations = _solve_lp(D, y, tau)
-        n_active = int(active.sum())
-        coefficients[active] = params[:n_active]
-        if with_intercept:
-            intercept = float(params[-1])
+    coefficients[active] = params[: active.sum()]
+    intercept = float(params[-1]) if with_intercept else 0.0
 
     residuals = y - X @ coefficients - intercept
     objective = float(np.mean(check_loss(residuals, tau)))

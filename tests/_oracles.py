@@ -99,8 +99,12 @@ def profiled_slope_objective(x, y, slope, tau):
     return min(check_loss_mean(r - a, tau) for a in r)
 
 
-def local_minimum_certificate(X, y, tau, coefficients, intercept, eps=1e-6, slack=1e-9):
-    """True when no single-coordinate step of size eps lowers the objective."""
+def local_minimum_certificate(X, y, tau, coefficients, intercept, eps=1e-6, slack=1e-9, with_intercept=True):
+    """True when no single-coordinate step of size eps lowers the objective.
+
+    Without an intercept the line stays through the origin, so only the
+    coefficients are stepped.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -113,7 +117,7 @@ def local_minimum_certificate(X, y, tau, coefficients, intercept, eps=1e-6, slac
             moved[j] += step
             if check_loss_mean(y - X @ moved - intercept, tau) < base - slack:
                 return False
-    for step in (eps, -eps):
+    for step in (eps, -eps) if with_intercept else ():
         if check_loss_mean(y - X @ coefficients - (intercept + step), tau) < base - slack:
             return False
     return True

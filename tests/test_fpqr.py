@@ -93,19 +93,20 @@ class TestInnerQuantileFit:
 
 
     def test_one_dual_program_per_response(self, monkeypatch):
-        # Each response's inner fit is one linear program with a constraint
-        # per parameter (h scores and the intercept), not one per row.
+        # Each response's inner fit is one solve of the dual program, whose
+        # design has a column per parameter (h scores and the intercept) and
+        # a row per observation.
         shapes = []
-        solve = quantreg.linprog
+        solve = quantreg._solve_lp
 
-        def recording(*args, **kwargs):
-            shapes.append(kwargs["A_eq"].shape)
-            return solve(*args, **kwargs)
+        def recording(D, y, tau):
+            shapes.append(D.shape)
+            return solve(D, y, tau)
 
-        monkeypatch.setattr(quantreg, "linprog", recording)
+        monkeypatch.setattr(quantreg, "_solve_lp", recording)
         X, Y, _ = make_data(9, n=50, m=5, l=3)
         model = fit_fpqr(X, Y, n_components=3, tau=0.4, metric="li")
-        assert shapes == [(model.effective_components + 1, 50)] * 3
+        assert shapes == [(50, model.effective_components + 1)] * 3
 
     @settings(max_examples=25)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0.25, 0.5, 0.75]))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fpqr import cross_validate, fit_fpqr, fit_pls, load_model, read_dataset, save_model
+from fpqr import cross_validate, fit_fpqr, fit_pls, load_model, quantreg, read_dataset, save_model
 from fpqr.cli import main
 from fpqr.exceptions import DataError, IllConditionedWarning, ModelFormatError
 from fpqr.io import split_response_columns, write_matrix_csv
@@ -419,6 +419,18 @@ class TestCliFitPredict:
         code = main(["fit", "--x", str(x_path), "--y", str(y_path), "--out", str(tmp_path / "m.json")])
         assert code == 3
         assert "not numeric" in capsys.readouterr().err
+
+    def test_solver_failure_is_exit_4(self, xy_files, tmp_path, capsys, monkeypatch):
+        # With no pivot allowed, the inner quantile fit cannot reach its optimum.
+        monkeypatch.setattr(quantreg, "_PIVOT_CAP", 0)
+        x_path, y_path, _, _ = xy_files
+        model_path = tmp_path / "m.json"
+        code = main(["fit", "--method", "fpqr", "--x", x_path, "--y", y_path, "--out", str(model_path)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("error: quantile-regression simplex found no optimal vertex in 0 pivots")
+        assert "Traceback" not in err
+        assert not model_path.exists()
 
 
 class TestCliUsageErrors:

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fpqr import check_loss, empirical_quantile, fit_quantile_regression, psi
+from fpqr import check_loss, empirical_quantile, fit_fpqr, fit_quantile_regression, psi
 from fpqr import quantreg
-from fpqr.exceptions import DegenerateDesignWarning, EmptyInput, LengthMismatch
+from fpqr.evaluate import generate_simulation, make_simulation_spec
+from fpqr.exceptions import DegenerateDesignWarning, EmptyInput, LengthMismatch, SolverFailure
 
 from _oracles import (
     check_loss_mean,
@@ -186,6 +187,12 @@ class TestFitQuantileRegression:
             assert fit.objective == pytest.approx(oracle_obj, abs=1e-8), f"trial {trial}"
             assert local_minimum_certificate(X, y, tau, fit.coefficients, fit.intercept)
 
+    def test_all_zero_design_without_intercept(self):
+        y = np.array([3.0, -1.0, 2.0, 0.5])
+        fit = fit_quantile_regression(np.zeros((4, 2)), y, 0.3, with_intercept=False)
+        assert_array_equal(fit.coefficients, [0.0, 0.0])
+        assert fit.objective == pytest.approx(check_loss_mean(y, 0.3))
+
     def test_too_few_rows_raises(self):
         with pytest.raises(ValueError, match="observations"):
             fit_quantile_regression(np.ones((2, 2)), [1.0, 2.0], 0.5)
@@ -209,7 +216,7 @@ def assert_matches_primal(X, y, tau, with_intercept=True):
 
 
 class TestAgainstPrimalProgram:
-    """The dual program solved by the package against the primal it replaced."""
+    """The package's simplex on the dual program against HiGHS on the primal."""
 
     @pytest.mark.parametrize("tau", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("n, p", [(100, 30), (2000, 10)], ids=["100x31", "2000x11"])
@@ -235,6 +242,14 @@ class TestAgainstPrimalProgram:
         y = t @ [1.0, -0.5, 2.0] + rng.standard_t(3, size=60)
         assert_matches_primal(X, y, tau)
 
+    def test_dependent_column_ahead_of_an_independent_one(self):
+        # x1 = 2 * x0 comes before the intercept column; only x1 may go.
+        X = np.array([[1.0, 2.0], [-1.0, -2.0], [-1.0, -2.0]])
+        y = np.array([-2.0, 0.0, 0.0])
+        fit = fit_quantile_regression(X, y, 0.01)
+        assert fit.objective == pytest.approx(0.0, abs=1e-15)  # x0 - 1 fits every row
+        assert_matches_primal(X, y, 0.01)
+
     @pytest.mark.parametrize("with_intercept", [True, False])
     def test_as_many_rows_as_parameters(self, with_intercept):
         rng = np.random.default_rng(42)
@@ -258,6 +273,79 @@ class TestAgainstPrimalProgram:
         X = rng.normal(size=(150, 5))
         y = X @ rng.normal(size=5) + rng.standard_t(2, size=150)
         assert_matches_primal(X, y, tau)
+
+
+@pytest.mark.filterwarnings("ignore::fpqr.exceptions.DegenerateDesignWarning")
+@settings(max_examples=300)
+@given(
+    st.sampled_from(["tied", "exact", "dependent"]),
+    st.booleans(),
+    st.integers(1, 4),
+    st.integers(0, 30),
+    st.sampled_from([0.01, 0.25, 0.5, 0.99]),
+    st.integers(0, 2**32 - 1),
+)
+def test_degenerate_designs_match_the_primal_program(kind, with_intercept, p, spare_rows, tau, seed):
+    # Small-integer data, so residuals tie and vertices are degenerate:
+    # "exact" puts y in the column space (every residual 0), "dependent"
+    # makes the last column a combination of the others (and of the
+    # intercept, when there is one), and spare_rows = 0 gives n == k.
+    rng = np.random.default_rng(seed)
+    n = p + with_intercept + spare_rows
+    X = rng.integers(-2, 3, size=(n, p)).astype(float)
+    y = rng.integers(-3, 4, size=n).astype(float)
+    if kind == "exact":
+        y = X @ rng.integers(-2, 3, size=p) + with_intercept * rng.integers(-2, 3)
+    elif kind == "dependent":
+        X[:, -1] = X[:, :-1] @ rng.integers(-2, 3, size=p - 1) + with_intercept * rng.integers(-2, 3)
+    fit = fit_quantile_regression(X, y, tau, with_intercept=with_intercept)
+    D = np.hstack([X, np.ones((n, 1))]) if with_intercept else X
+    primal = check_loss_mean(y - D @ primal_quantile_lp(D, y, tau), tau)
+    # Any coefficients score at least the optimum, so the fit passes when it
+    # scores no worse than the primal program's own vertex. An exact fit
+    # scores its rounding error, which scales with |y| + |D| @ |params|.
+    params = np.append(fit.coefficients, fit.intercept) if with_intercept else fit.coefficients
+    scale = (np.abs(y) + np.abs(D) @ np.abs(params)).max()
+    assert fit.objective <= primal + max(1e-12 * primal, 1e-15 * scale)
+    assert local_minimum_certificate(
+        X, y, tau, fit.coefficients, fit.intercept, with_intercept=with_intercept
+    )
+
+
+@pytest.mark.parametrize("scheme, law", [("sim2", None), ("sim3-low", "t1")])
+@pytest.mark.parametrize("seed", range(5))
+def test_study_fits_are_the_solve_on_their_interpolated_rows(scheme, law, seed, monkeypatch):
+    # The study's inner fits have a unique optimum that interpolates exactly
+    # k rows; the fit must be, bit for bit, one solve on those rows in
+    # ascending order.
+    calls = []
+    solve = quantreg._solve_lp
+
+    def recording(D, y, tau):
+        params, pivots = solve(D, y, tau)
+        calls.append((D, y, params))
+        return params, pivots
+
+    monkeypatch.setattr(quantreg, "_solve_lp", recording)
+    spec = make_simulation_spec(scheme, law, repetitions=1, seed=seed)
+    X, Y = generate_simulation(spec, 0)[:2]
+    fit_fpqr(X, Y, spec.n_components, tau=0.5, metric="li")
+    assert len(calls) == Y.shape[1]
+    for D, y, params in calls:
+        residuals = np.abs(y - D @ params)
+        rows = np.flatnonzero(residuals <= 1e-12 * (np.abs(y) + np.abs(D) @ np.abs(params)))
+        assert rows.size == D.shape[1]
+        assert_array_equal(params, np.linalg.solve(D[rows], y[rows]))
+
+
+def test_pivot_cap_raises_solver_failure(monkeypatch):
+    rng = np.random.default_rng(45)
+    D = np.column_stack([rng.normal(size=(60, 3)), np.ones(60)])
+    y = D[:, :3] @ [1.0, -1.0, 0.5] + rng.standard_t(2, size=60)
+    assert quantreg._solve_lp(D, y, 0.3)[1] > 0  # the start is not optimal
+    monkeypatch.setattr(quantreg, "_PIVOT_CAP", 0)
+    with pytest.raises(SolverFailure, match="0 pivots"):
+        quantreg._solve_lp(D, y, 0.3)
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.37, 0.5, 0.9])
