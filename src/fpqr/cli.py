@@ -10,6 +10,7 @@ import sys
 import numpy as np
 
 from .evaluate import (
+    SCHEMES,
     ModelRecipe,
     cross_validate,
     make_simulation_spec,
@@ -22,13 +23,14 @@ from .exceptions import (
     DataError,
     DimensionMismatch,
     EmptyInput,
-    InvalidSpec,
     LengthMismatch,
     RankDeficient,
     ShapeMismatch,
     SolverFailure,
 )
+from .fpqr import FPQR_METRICS
 from .io import read_dataset, save_model, load_model, split_response_columns, write_matrix_csv, write_table_csv
+from .linalg import CENTERING_MODES
 from .quantreg import validate_tau
 
 EXIT_OK = 0
@@ -61,9 +63,9 @@ def _tau(text):
 
 def _add_fit_arguments(parser):
     parser.add_argument("--method", choices=("fpqr", "pls"), default="fpqr")
-    parser.add_argument("--metric", choices=("li", "dodge", "choi"), default="li")
+    parser.add_argument("--metric", choices=FPQR_METRICS, default="li")
     parser.add_argument("--tau", type=_tau, default=0.5)
-    parser.add_argument("--center", choices=("mean", "none"), default="mean")
+    parser.add_argument("--center", choices=CENTERING_MODES, default="mean")
 
 
 def _recipe(args):
@@ -77,27 +79,23 @@ def _load_xy(args):
     use_pair = args.x is not None or args.y is not None
     use_table = args.data is not None or args.response_cols is not None
     if use_pair == use_table:
-        raise _UsageError("provide either --x with --y, or --data with --response-cols")
+        raise ValueError("provide either --x with --y, or --data with --response-cols")
     if use_pair:
         if args.x is None or args.y is None:
-            raise _UsageError("--x and --y must be given together")
+            raise ValueError("--x and --y must be given together")
         x_names, X = read_dataset(args.x)
         y_names, Y = read_dataset(args.y)
     else:
         if args.data is None or args.response_cols is None:
-            raise _UsageError("--data and --response-cols must be given together")
+            raise ValueError("--data and --response-cols must be given together")
         names = [c.strip() for c in args.response_cols.split(",") if c.strip()]
         if not names:
-            raise _UsageError("--response-cols named no columns")
+            raise ValueError("--response-cols named no columns")
         header, table = read_dataset(args.data)
         X, Y, x_names, y_names = split_response_columns(header, table, names)
     if X.shape[0] != Y.shape[0]:
         raise DataError(f"predictors have {X.shape[0]} rows but responses have {Y.shape[0]}")
     return X, Y, x_names, y_names
-
-
-class _UsageError(Exception):
-    pass
 
 
 def cmd_fit(args):
@@ -126,10 +124,9 @@ def cmd_predict(args):
     missing = [name for name in expected if name not in header]
     unexpected = [name for name in header if name not in expected]
     if missing or unexpected:
-        return _fail(
+        raise DataError(
             f"expected {len(expected)} predictor columns, found {len(header)}; "
-            f"missing {missing}, unexpected {unexpected}",
-            EXIT_DATA,
+            f"missing {missing}, unexpected {unexpected}"
         )
     if header != expected:
         X = X[:, [header.index(name) for name in expected]]
@@ -150,14 +147,14 @@ def _parse_candidates(text):
         try:
             lo, hi = int(lo), int(hi)
         except ValueError:
-            raise _UsageError(f"cannot parse --components range {text!r}") from None
+            raise ValueError(f"cannot parse --components range {text!r}") from None
         if hi < lo:
-            raise _UsageError("--components range is empty")
+            raise ValueError("--components range is empty")
         return list(range(lo, hi + 1))
     try:
         return [int(piece) for piece in text.split(",") if piece.strip()]
     except ValueError:
-        raise _UsageError(f"cannot parse --components list {text!r}") from None
+        raise ValueError(f"cannot parse --components list {text!r}") from None
 
 
 def cmd_cv(args):
@@ -180,16 +177,10 @@ def _format_aggregate(mean, std):
 
 
 def cmd_simulate(args):
-    try:
-        recipes = [parse_recipe(piece) for piece in args.recipes.split(",") if piece.strip()]
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    recipes = [parse_recipe(piece) for piece in args.recipes.split(",") if piece.strip()]
     if not recipes:
-        raise _UsageError("--recipes named no recipes")
-    try:
-        spec = make_simulation_spec(args.scheme, args.error, repetitions=args.reps, seed=args.seed)
-    except InvalidSpec as exc:
-        raise _UsageError(str(exc)) from None
+        raise ValueError("--recipes named no recipes")
+    spec = make_simulation_spec(args.scheme, args.error, repetitions=args.reps, seed=args.seed)
 
     result = run_study(spec, recipes)
     rows = [
@@ -197,27 +188,22 @@ def cmd_simulate(args):
          repr(r.beta_distance), repr(r.test_mse), repr(r.quantile_error), repr(r.wall_time_seconds)]
         for r in result.reports
     ]
-    rows += [
-        [spec.scheme, agg.model_tag, "aggregate",
-         _format_aggregate(agg.beta_distance_mean, agg.beta_distance_std),
-         _format_aggregate(agg.test_mse_mean, agg.test_mse_std),
-         _format_aggregate(agg.quantile_error_mean, agg.quantile_error_std),
-         _format_aggregate(agg.wall_time_mean, agg.wall_time_std)]
+    summaries = [
+        (agg, [_format_aggregate(agg.beta_distance_mean, agg.beta_distance_std),
+               _format_aggregate(agg.test_mse_mean, agg.test_mse_std),
+               _format_aggregate(agg.quantile_error_mean, agg.quantile_error_std),
+               _format_aggregate(agg.wall_time_mean, agg.wall_time_std)])
         for agg in result.aggregates
     ]
+    rows += [[spec.scheme, agg.model_tag, "aggregate", *cells] for agg, cells in summaries]
     write_table_csv(
         args.out,
         ["scheme", "recipe", "repetition", "betaDistance", "testMse", "quantileError", "seconds"],
         rows,
     )
 
-    for agg in result.aggregates:
-        print(
-            f"{spec.scheme} {agg.model_tag}: "
-            f"betaDistance={_format_aggregate(agg.beta_distance_mean, agg.beta_distance_std)} "
-            f"testMse={_format_aggregate(agg.test_mse_mean, agg.test_mse_std)} "
-            f"seconds={agg.wall_time_mean:.4g}"
-        )
+    for agg, (beta_distance, mse, *_) in summaries:
+        print(f"{spec.scheme} {agg.model_tag}: betaDistance={beta_distance} testMse={mse} seconds={agg.wall_time_mean:.4g}")
     if result.excluded:
         print(f"excluded repetitions: {len(result.excluded)}", file=sys.stderr)
         for repetition, tag, message in result.excluded:
@@ -255,8 +241,9 @@ def build_parser():
     cv.set_defaults(func=cmd_cv)
 
     simulate = commands.add_parser("simulate", help="run a synthetic benchmark study")
-    simulate.add_argument("--scheme", choices=("sim1", "sim2", "sim3-low", "sim3-high"), required=True)
-    simulate.add_argument("--error", choices=("chi2_3", "normal", "t1", "slash"), default=None)
+    simulate.add_argument("--scheme", choices=SCHEMES, required=True)
+    laws = dict.fromkeys(law for *_, scheme_laws, _ in SCHEMES.values() for law in scheme_laws)
+    simulate.add_argument("--error", choices=laws)
     simulate.add_argument("--reps", type=int, default=100)
     simulate.add_argument("--recipes", default="fpqr-li,pls")
     simulate.add_argument("--seed", type=int, default=0)
@@ -274,8 +261,6 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return int(args.func(args))
-    except _UsageError as exc:
-        return _fail(str(exc), EXIT_USAGE)
     except (DataError, DimensionMismatch, ShapeMismatch, LengthMismatch, EmptyInput) as exc:
         return _fail(str(exc), EXIT_DATA)
     except (SolverFailure, RankDeficient, np.linalg.LinAlgError) as exc:

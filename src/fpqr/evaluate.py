@@ -194,19 +194,13 @@ def cross_validate(X, Y, candidates, folds=5, fitter=None, seed=0):
 # ---------------------------------------------------------------------------
 # simulation schemes
 
-_SCHEME_DIMS = {
-    "sim1": (100, 100, 1, 30),
-    "sim2": (100, 100, 3, 30),
-    "sim3-low": (100, 10, 1, 2),
-    "sim3-high": (15, 60, 1, 4),
+# name: (train rows, predictors, responses, components, error laws, default test size)
+SCHEMES = {
+    "sim1": (100, 100, 1, 30, ("chi2_3",), 500),
+    "sim2": (100, 100, 3, 30, ("chi2_3",), 500),
+    "sim3-low": (100, 10, 1, 2, ("normal", "t1", "slash"), 100),
+    "sim3-high": (15, 60, 1, 4, ("normal", "t1", "slash"), 100),
 }
-_SCHEME_ERRORS = {
-    "sim1": ("chi2_3",),
-    "sim2": ("chi2_3",),
-    "sim3-low": ("normal", "t1", "slash"),
-    "sim3-high": ("normal", "t1", "slash"),
-}
-_DEFAULT_TEST_SIZE = {"sim1": 500, "sim2": 500, "sim3-low": 100, "sim3-high": 100}
 _RELEVANT_PREDICTORS = 30  # sim1/sim2: leading rows of the coefficient matrix
 _SIM3_COEF_SCALE = 0.001
 
@@ -232,19 +226,17 @@ class SimulationSpec:
     repetitions: int
     seed: int
 
-    n_train = property(lambda self: _SCHEME_DIMS[self.scheme][0])
-    n_features = property(lambda self: _SCHEME_DIMS[self.scheme][1])
-    n_responses = property(lambda self: _SCHEME_DIMS[self.scheme][2])
-    n_components = property(lambda self: _SCHEME_DIMS[self.scheme][3])
+    n_train = property(lambda self: SCHEMES[self.scheme][0])
+    n_features = property(lambda self: SCHEMES[self.scheme][1])
+    n_responses = property(lambda self: SCHEMES[self.scheme][2])
+    n_components = property(lambda self: SCHEMES[self.scheme][3])
 
     def __post_init__(self):
-        if self.scheme not in _SCHEME_DIMS:
-            raise InvalidSpec(f"unknown scheme {self.scheme!r}; expected one of {sorted(_SCHEME_DIMS)}")
-        allowed = _SCHEME_ERRORS[self.scheme]
+        if self.scheme not in SCHEMES:
+            raise InvalidSpec(f"unknown scheme {self.scheme!r}; expected one of {sorted(SCHEMES)}")
+        allowed = SCHEMES[self.scheme][4]
         if self.error_law not in allowed:
-            raise InvalidSpec(
-                f"scheme {self.scheme} supports error laws {allowed}, got {self.error_law!r}"
-            )
+            raise InvalidSpec(f"scheme {self.scheme} supports error laws {allowed}, got {self.error_law!r}")
         if self.test_size < 1:
             raise InvalidSpec("test_size must be positive")
         if self.repetitions < 1:
@@ -255,13 +247,11 @@ class SimulationSpec:
 
 def make_simulation_spec(scheme, error_law=None, repetitions=100, seed=0, test_size=None):
     """Build a :class:`SimulationSpec`, filling in the scheme's default error law and test size."""
-    if scheme not in _SCHEME_DIMS:
-        raise InvalidSpec(f"unknown scheme {scheme!r}; expected one of {sorted(_SCHEME_DIMS)}")
-    if error_law is None:
-        error_law = _SCHEME_ERRORS[scheme][0]
-    if test_size is None:
-        test_size = _DEFAULT_TEST_SIZE[scheme]
-    return SimulationSpec(scheme, error_law, int(test_size), int(repetitions), int(seed))
+    if scheme in SCHEMES:  # any other scheme reaches SimulationSpec as given, which rejects it
+        *_, laws, default_test_size = SCHEMES[scheme]
+        error_law = laws[0] if error_law is None else error_law
+        test_size = default_test_size if test_size is None else int(test_size)
+    return SimulationSpec(scheme, error_law, test_size, int(repetitions), int(seed))
 
 
 def _stream(spec, repetition, role):

@@ -10,7 +10,7 @@ which keeps heavy-tailed response noise from steering the fit.
 
 import numpy as np
 
-from .pls import _fit, _least_squares_inner
+from .pls import _least_squares_inner, component_path
 from .qcov import QcovMetric, qcov_matrix
 from .quantreg import fit_quantile_regression, validate_tau
 
@@ -75,7 +75,7 @@ def fit_fpqr(X, Y, n_components=None, tau=0.5, metric="li", center="mean", least
     FittedModel
         With ``tau`` set, so :func:`predict_quantile` accepts it.
     """
-    return _fit(X, Y, n_components, center, *quantile_parts(tau, metric, least_squares_gamma))
+    return component_path(X, Y, n_components, center, *quantile_parts(tau, metric, least_squares_gamma))(n_components)
 
 
 def predict_quantile(model, X):

@@ -80,21 +80,8 @@ def leading_left_singular_vector(S):
     S = as_matrix(S, "S")
     if np.linalg.norm(S) <= ZERO_MATRIX_TOL:
         raise AllZeroCrossProduct("cross-product matrix is numerically zero")
-    m, l = S.shape
-    if l < m:
-        # The small Gram matrix has the same nonzero spectrum, so the
-        # leading direction comes from an l x l eigenproblem.
-        evals, evecs = np.linalg.eigh(S.T @ S)
-        value = float(evals[-1])
-        sv = S @ evecs[:, -1]
-        nrm = np.linalg.norm(sv)
-        if nrm == 0.0:
-            raise AllZeroCrossProduct("cross-product matrix is numerically zero")
-        w = sv / nrm
-    else:
-        evals, evecs = np.linalg.eigh(S @ S.T)
-        w, value = evecs[:, -1], float(evals[-1])
-    return _fix_sign(w), max(value, 0.0)
+    U, s, _ = np.linalg.svd(S, full_matrices=False)
+    return _fix_sign(U[:, 0]), float(s[0] ** 2)
 
 
 def least_squares(T, Y):

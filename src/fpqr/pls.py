@@ -240,11 +240,6 @@ def component_path(X, Y, n_components, center, cross_product, inner, metric=None
     return finish
 
 
-def _fit(X, Y, n_components, center, cross_product, inner, metric=None, tau=None):
-    """The fit shared by :func:`fit_pls` and :func:`fit_fpqr`: a path extracted and finished at one count."""
-    return component_path(X, Y, n_components, center, cross_product, inner, metric, tau)(n_components)
-
-
 def fit_pls(X, Y, n_components=None, center="mean"):
     """Mean-based latent-component regression.
 
@@ -262,7 +257,7 @@ def fit_pls(X, Y, n_components=None, center="mean"):
         With ``metric`` and ``tau`` unset; the inner coefficients solve an
         ordinary least-squares problem on the (orthogonal) scores.
     """
-    return _fit(X, Y, n_components, center, *PLS_PARTS)
+    return component_path(X, Y, n_components, center, *PLS_PARTS)(n_components)
 
 
 def predict(model, X):

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 import fpqr.pls
 from fpqr import (
     ModelRecipe,
+    SimulationSpec,
     beta_distance,
     cross_validate,
     fit_fpqr,
@@ -331,6 +332,22 @@ class TestSimulationSpec:
         with pytest.raises(InvalidSpec):
             make_simulation_spec("sim1", seed=-3)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"test_size": 0}, "test_size must be positive"), ({"repetitions": 0}, "repetitions must be positive")],
+        ids=["test-size", "repetitions"],
+    )
+    def test_non_positive_sizes_rejected(self, kwargs, message):
+        with pytest.raises(InvalidSpec, match=message):
+            make_simulation_spec("sim1", **kwargs)
+
+    def test_direct_spec_validates_scheme(self):
+        with pytest.raises(InvalidSpec, match="unknown scheme 'sim4'"):
+            SimulationSpec("sim4", "normal", 100, 1, 0)
+
+    def test_direct_spec_matches_factory(self):
+        assert SimulationSpec("sim3-low", "t1", 100, 2, 3) == make_simulation_spec("sim3-low", "t1", 2, 3)
+
 
 class TestGenerateSimulation:
     def test_sim1_shapes_and_sparsity(self):
@@ -378,6 +395,11 @@ class TestGenerateSimulation:
         s3 = make_simulation_spec("sim1", repetitions=1, seed=3)
         s4 = make_simulation_spec("sim1", repetitions=1, seed=4)
         assert not np.allclose(generate_simulation(s3, 0)[0], generate_simulation(s4, 0)[0])
+
+    def test_negative_repetition_rejected(self):
+        spec = make_simulation_spec("sim3-low", error_law="normal", repetitions=1)
+        with pytest.raises(ValueError, match="repetition must be non-negative"):
+            generate_simulation(spec, -1)
 
     def test_slash_noise_has_heavy_tails(self):
         spec = make_simulation_spec("sim3-low", error_law="slash", repetitions=1, seed=5)
@@ -428,3 +450,16 @@ class TestRunStudy:
         for agg in result.aggregates:
             assert agg.included == 1
             assert agg.excluded == 1
+
+    def test_every_repetition_excluded(self):
+        spec = make_simulation_spec("sim3-low", error_law="normal", repetitions=3, seed=0)
+
+        def failing_fit(X, Y, h):
+            raise np.linalg.LinAlgError("synthetic failure")
+
+        failing = ModelRecipe("failing", "pls")
+        object.__setattr__(failing, "fit", failing_fit)
+        result = run_study(spec, ["pls", failing])
+        assert result.reports == []
+        assert result.aggregates == []
+        assert result.excluded == [(r, "failing", "synthetic failure") for r in range(3)]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fpqr import cross_validate, fit_fpqr, fit_pls, load_model, quantreg, read_dataset, save_model
+from fpqr import cross_validate, evaluate, fit_fpqr, fit_pls, load_model, quantreg, read_dataset, save_model
 from fpqr.cli import main
 from fpqr.exceptions import DataError, IllConditionedWarning, ModelFormatError
 from fpqr.io import split_response_columns, write_matrix_csv
@@ -381,7 +381,10 @@ class TestCliFitPredict:
         write_csv(renamed, ["p", "q", "r", "s"], X.tolist())
         code = main(["predict", "--model", model_path, "--x", str(renamed), "--out", str(tmp_path / "p.csv")])
         assert code == 3
-        assert "missing ['x0', 'x1', 'x2', 'x3']" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: expected 4 predictor columns, found 4; "
+            "missing ['x0', 'x1', 'x2', 'x3'], unexpected ['p', 'q', 'r', 's']\n"
+        )
 
     def test_row_count_mismatch_is_data_error(self, tmp_path, capsys):
         x_path = tmp_path / "x.csv"
@@ -515,7 +518,90 @@ class TestCliUsageErrors:
             "--out", str(tmp_path / "s.csv"),
         ])
         assert code == 2
-        assert "error laws" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: scheme sim1 supports error laws ('chi2_3',), got 't1'\n"
+
+
+class TestCliErrorLines:
+    """Exit code and exact stderr for each fault the CLI reports itself."""
+
+    @pytest.mark.parametrize(
+        "args, line",
+        [
+            (["fit", "--x", "{x}"], "error: --x and --y must be given together"),
+            (["fit", "--data", "{x}"], "error: --data and --response-cols must be given together"),
+            (["fit", "--data", "{x}", "--response-cols", " , "], "error: --response-cols named no columns"),
+            (["cv", "--x", "{x}", "--y", "{y}", "--components", "1..x"],
+             "error: cannot parse --components range '1..x'"),
+            (["cv", "--x", "{x}", "--y", "{y}", "--components", "1,a"],
+             "error: cannot parse --components list '1,a'"),
+            (["simulate", "--scheme", "sim3-low", "--recipes", ","], "error: --recipes named no recipes"),
+            (["simulate", "--scheme", "sim3-low", "--recipes", "bogus"],
+             "error: unknown recipe 'bogus'; expected 'pls' or 'fpqr-<li|dodge|choi>[@tau]'"),
+        ],
+        ids=["x-without-y", "data-without-cols", "blank-cols", "bad-range", "bad-list", "no-recipes", "unknown-recipe"],
+    )
+    def test_usage_fault_line(self, xy_files, tmp_path, capsys, args, line):
+        x_path, y_path, _, _ = xy_files
+        argv = [a.format(x=x_path, y=y_path) for a in args]
+        out_path = tmp_path / "out"
+        assert main([*argv, "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == line + "\n"
+        assert captured.out == ""
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "args, line",
+        [
+            (["fit", "--metric", "bogus"], "argument --metric: invalid choice: 'bogus' (choose from 'li', 'dodge', 'choi')"),
+            (["fit", "--center", "median"], "argument --center: invalid choice: 'median' (choose from 'mean', 'none')"),
+            (["simulate", "--scheme", "sim9"],
+             "argument --scheme: invalid choice: 'sim9' (choose from 'sim1', 'sim2', 'sim3-low', 'sim3-high')"),
+            (["simulate", "--scheme", "sim1", "--error", "cauchy"],
+             "argument --error: invalid choice: 'cauchy' (choose from 'chi2_3', 'normal', 't1', 'slash')"),
+        ],
+        ids=["metric", "center", "scheme", "error"],
+    )
+    def test_choice_lists(self, tmp_path, capsys, args, line):
+        command = args[0]
+        assert main([*args, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"fpqr {command}: error: {line}"
+
+    def test_cv_excluded_candidate_line(self, xy_files, tmp_path, capsys):
+        # 30 rows in 5 folds train on 24 rows of 4 predictors, so 5 components never fit.
+        x_path, y_path, _, _ = xy_files
+        code = main([
+            "cv", "--method", "pls", "--x", x_path, "--y", y_path, "--components", "3..5",
+            "--out", str(tmp_path / "cv.csv"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == "candidate 5 excluded: fold 0: components must lie in [1, 4] for this data, got 5\n"
+        assert captured.out == "chosen components: 4\n"
+
+    def test_simulate_excluded_repetition_lines(self, tmp_path, capsys, monkeypatch):
+        calls = {"count": 0}
+
+        def flaky_fit(X, Y, h, center="mean"):
+            calls["count"] += 1
+            if calls["count"] == 2:  # fail on repetition 1
+                raise ValueError("forced failure")
+            return fit_pls(X, Y, h, center=center)
+
+        monkeypatch.setattr(evaluate, "fit_pls", flaky_fit)
+        out_path = tmp_path / "s.csv"
+        code = main([
+            "simulate", "--scheme", "sim3-low", "--error", "t1", "--reps", "3",
+            "--recipes", "pls", "--out", str(out_path),
+        ])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == "excluded repetitions: 1\n  repetition 1 (pls): forced failure\n"
+        with open(out_path, newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert [row[2] for row in rows] == ["0", "2", "aggregate"]
+        [line] = captured.out.splitlines()
+        assert line.startswith(f"sim3-low pls: betaDistance={rows[2][3]} testMse={rows[2][4]} seconds=")
 
 
 class TestCliCv:
