@@ -2,7 +2,7 @@
 
 
 class AllZeroCrossProduct(RuntimeError):
-    """The cross-product matrix is numerically zero; no further component can be extracted."""
+    """The cross-product matrix is exactly zero, so it has no leading direction."""
 
 
 class RankDeficient(RuntimeError):
@@ -46,7 +46,7 @@ class DegenerateDesignWarning(UserWarning):
 
 
 class ZeroVarianceWarning(UserWarning):
-    """A zero-variance argument forced a quantile dependence value to 0."""
+    """A constant argument (every entry equal) forced a quantile dependence value to 0."""
 
 
 class DiscordantSlopesWarning(UserWarning):

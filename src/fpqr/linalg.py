@@ -7,8 +7,6 @@ import numpy as np
 
 from .exceptions import AllZeroCrossProduct, DimensionMismatch, RankDeficient
 
-ZERO_MATRIX_TOL = 1e-14
-
 CENTERING_MODES = ("mean", "none")
 
 
@@ -24,6 +22,19 @@ def as_matrix(a, name="matrix"):
     return M
 
 
+def constant_columns(M):
+    """Boolean mask of the columns of 2-d ``M`` whose every entry equals the first row's."""
+    mask = M[-1] == M[0]  # rules out most columns before the full comparison
+    if mask.any():
+        mask[mask] = (M[:, mask] == M[0, mask]).all(axis=0)
+    return mask
+
+
+def column_centers(M):
+    """Column means, except that a constant column's center is its value, so it centers to exact zeros."""
+    return np.where(constant_columns(M), M[0], M.mean(axis=0))
+
+
 @dataclass(frozen=True)
 class CenteringInfo:
     """Per-column offsets removed from a matrix, plus the mode that produced them."""
@@ -35,13 +46,13 @@ class CenteringInfo:
 def center_columns(M, mode="mean"):
     """Shift each column of ``M`` by its center.
 
-    Returns the shifted matrix and a :class:`CenteringInfo`. With
-    ``mode="none"`` the matrix is copied unchanged and the recorded centers
-    are all zero, so downstream arithmetic needs no special casing.
+    Returns the shifted matrix and a :class:`CenteringInfo` (centers from
+    :func:`column_centers`). With ``mode="none"`` the matrix is copied unchanged
+    and the recorded centers are all zero, so downstream arithmetic needs no special casing.
     """
     M = as_matrix(M, "M")
     if mode == "mean":
-        centers = M.mean(axis=0)
+        centers = column_centers(M)
         return M - centers, CenteringInfo(centers, "mean")
     if mode == "none":
         return M.copy(), CenteringInfo(np.zeros(M.shape[1]), "none")
@@ -75,11 +86,11 @@ def leading_left_singular_vector(S):
     Raises
     ------
     AllZeroCrossProduct
-        If ``||S||_F`` is at or below the zero cutoff.
+        If ``S`` is exactly zero; how small is too small is the caller's call.
     """
     S = as_matrix(S, "S")
-    if np.linalg.norm(S) <= ZERO_MATRIX_TOL:
-        raise AllZeroCrossProduct("cross-product matrix is numerically zero")
+    if not S.any():
+        raise AllZeroCrossProduct("cross-product matrix is zero")
     U, s, _ = np.linalg.svd(S, full_matrices=False)
     return _fix_sign(U[:, 0]), float(s[0] ** 2)
 
@@ -87,16 +98,13 @@ def leading_left_singular_vector(S):
 def least_squares(T, Y):
     """Coefficient matrix minimizing ``||Y - T @ G||_F``.
 
-    ``T`` must have full column rank; a column with squared norm at or below
-    1e-14 raises :class:`RankDeficient` before any solve is attempted.
+    Raises :class:`RankDeficient` unless ``np.linalg.lstsq``'s own (scale-free) rank is full.
     """
     T = as_matrix(T, "T")
     Y = as_matrix(Y, "Y")
     if T.shape[0] != Y.shape[0]:
         raise DimensionMismatch(f"T has {T.shape[0]} rows, Y has {Y.shape[0]}")
-    norms = (T * T).sum(axis=0)
-    if np.any(norms <= 1e-14):
-        bad = int(np.argmax(norms <= 1e-14))
-        raise RankDeficient(f"score column {bad} has numerically zero norm")
-    G, *_ = np.linalg.lstsq(T, Y, rcond=None)
+    G, _, rank, _ = np.linalg.lstsq(T, Y, rcond=None)
+    if rank < T.shape[1]:
+        raise RankDeficient(f"score matrix has rank {rank} with {T.shape[1]} columns")
     return G

@@ -18,10 +18,10 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import AllZeroCrossProduct, DimensionMismatch, IllConditionedWarning, RankDeficient
+from .exceptions import DimensionMismatch, IllConditionedWarning, RankDeficient
 from .linalg import CenteringInfo, as_matrix, center_columns, leading_left_singular_vector, least_squares
 
-_SCORE_NORM_TOL = 1e-14
+_STOP_RTOL = 1e-12  # relative to the fit's own first round; see extract_components
 _RCOND_WARN = 1e-12
 
 
@@ -129,25 +129,27 @@ def extract_components(X0, Y0, n_components, cross_product):
     """Run the deflation loop and stack its outputs.
 
     ``cross_product`` maps the current blocks ``(X_a, Y_a)`` to an (m, l)
-    matrix. The loop stops early once that matrix is numerically zero or a
-    score degenerates, so fewer than ``n_components`` columns may come back.
+    matrix ``S_a``. The loop stops early once ``||S_a||_F <= 1e-12 ||S_0||_F``
+    (at a = 0, only an exactly zero ``S_0``) or a score has ``t @ t <= (1e-12 ||X0||_F)**2``.
     """
     Xa = X0.copy()
     Ya = Y0.copy()
     n, m = Xa.shape
     l = Ya.shape[1]
+    min_tt = (_STOP_RTOL * np.linalg.norm(X0)) ** 2
     ws, ps, qs, ts = [], [], [], []
-    for _ in range(n_components):
+    for a in range(n_components):
         S = np.asarray(cross_product(Xa, Ya), dtype=float)
         if S.shape != (m, l):
             raise ValueError(f"cross product returned shape {S.shape}, expected {(m, l)}")
-        try:
-            w, _ = leading_left_singular_vector(S)
-        except AllZeroCrossProduct:
+        size = np.linalg.norm(S)
+        min_size = min_size if a else _STOP_RTOL * size
+        if size <= min_size:
             break
+        w, _ = leading_left_singular_vector(S)
         t = Xa @ w
         tt = float(t @ t)
-        if tt <= _SCORE_NORM_TOL:
+        if tt <= min_tt:
             break
         p = Xa.T @ t / tt
         q = Ya.T @ t / tt

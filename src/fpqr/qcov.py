@@ -26,11 +26,10 @@ from .exceptions import (
     LengthMismatch,
     ZeroVarianceWarning,
 )
-from .linalg import as_matrix
+from .linalg import as_matrix, column_centers, constant_columns
 from .quantreg import empirical_quantile, psi, quantile_slopes, validate_tau
 
 METRIC_KINDS = ("classical", "li", "dodge", "choi")
-_VAR_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -73,15 +72,14 @@ def qcov_li(z1, z2, tau):
 
 
 def _slope_values(kind, X, Y, tau, correlation=False, coordinates=False):
-    # Dodge or choi values between every column of X and every column of Y,
-    # flattened row-major. A degenerate pair warns (naming its (j, k) entry
-    # when ``coordinates`` is set) and gets 0.
+    # Dodge or choi values between every column of X and of Y, flattened row-major. A degenerate
+    # pair (a constant column; for choi also discordant slopes) warns, naming (j, k) if ``coordinates``, and gets 0.
     m, l = X.shape[1], Y.shape[1]
     jx = np.repeat(np.arange(m), l)
     jy = np.tile(np.arange(l), m)
     var_x = X.var(axis=0)[jx]
     var_y = Y.var(axis=0)[jy]
-    zero = (var_x if kind == "dodge" else np.minimum(var_x, var_y)) <= _VAR_TOL
+    zero = constant_columns(X)[jx] | (kind == "choi") & constant_columns(Y)[jy]
     fit = ~zero
     b21 = np.zeros(m * l)
     b21[fit] = quantile_slopes(X, Y, tau, jx[fit], jy[fit])
@@ -159,15 +157,13 @@ def qcov_matrix(X, Y, metric):
         raise ValueError("need at least 2 rows")
 
     if metric.kind == "classical":
-        Xc = X - X.mean(axis=0)
-        Yc = Y - Y.mean(axis=0)
-        return (Xc.T @ Yc) / n
+        return ((X - column_centers(X)).T @ (Y - column_centers(Y))) / n
 
     tau = metric.tau
     if metric.kind == "li":
-        Xc = X - X.mean(axis=0)
         quantiles = np.array([empirical_quantile(Y[:, k], tau) for k in range(l)])
         weights = psi(Y - quantiles, tau)
-        return (Xc.T @ weights) / n
+        weights[:, quantiles == [Y[:, k].min() for k in range(l)]] = 0.0  # psi == tau: nothing lies below the quantile
+        return ((X - column_centers(X)).T @ weights) / n
 
     return _slope_values(metric.kind, X, Y, tau, coordinates=True).reshape(m, l)
