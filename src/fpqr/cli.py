@@ -11,6 +11,7 @@ import numpy as np
 
 from .evaluate import (
     SCHEMES,
+    STUDY_METRICS,
     ModelRecipe,
     cross_validate,
     make_simulation_spec,
@@ -172,10 +173,6 @@ def cmd_cv(args):
     return EXIT_OK
 
 
-def _format_aggregate(mean, std):
-    return f"{mean:.6g} ({std:.4g})"
-
-
 def cmd_simulate(args):
     recipes = [parse_recipe(piece) for piece in args.recipes.split(",") if piece.strip()]
     if not recipes:
@@ -183,27 +180,20 @@ def cmd_simulate(args):
     spec = make_simulation_spec(args.scheme, args.error, repetitions=args.reps, seed=args.seed)
 
     result = run_study(spec, recipes)
-    rows = [
-        [spec.scheme, r.model_tag, r.repetition,
-         repr(r.beta_distance), repr(r.test_mse), repr(r.quantile_error), repr(r.wall_time_seconds)]
-        for r in result.reports
-    ]
-    summaries = [
-        (agg, [_format_aggregate(agg.beta_distance_mean, agg.beta_distance_std),
-               _format_aggregate(agg.test_mse_mean, agg.test_mse_std),
-               _format_aggregate(agg.quantile_error_mean, agg.quantile_error_std),
-               _format_aggregate(agg.wall_time_mean, agg.wall_time_std)])
-        for agg in result.aggregates
-    ]
-    rows += [[spec.scheme, agg.model_tag, "aggregate", *cells] for agg, cells in summaries]
+    rows = [[spec.scheme, r.model_tag, str(r.repetition), *(repr(getattr(r, name)) for name in STUDY_METRICS)]
+            for r in result.reports]
+    lines = []
+    for agg in result.aggregates:
+        cells = [f"{getattr(agg, f'{p}_mean'):.6g} ({getattr(agg, f'{p}_std'):.4g})" for p in STUDY_METRICS.values()]
+        rows.append([spec.scheme, agg.model_tag, "aggregate", *cells])
+        lines.append(f"{spec.scheme} {agg.model_tag}: betaDistance={cells[0]} testMse={cells[1]} seconds={agg.wall_time_mean:.4g}")
     write_table_csv(
         args.out,
         ["scheme", "recipe", "repetition", "betaDistance", "testMse", "quantileError", "seconds"],
         rows,
     )
-
-    for agg, (beta_distance, mse, *_) in summaries:
-        print(f"{spec.scheme} {agg.model_tag}: betaDistance={beta_distance} testMse={mse} seconds={agg.wall_time_mean:.4g}")
+    for line in lines:
+        print(line)
     if result.excluded:
         print(f"excluded repetitions: {len(result.excluded)}", file=sys.stderr)
         for repetition, tag, message in result.excluded:

@@ -25,21 +25,22 @@ def _as_2d(a, name):
     return arr
 
 
+def _same_shape(a, b, names, what):
+    A, B = _as_2d(a, names[0]), _as_2d(b, names[1])
+    if A.shape != B.shape:
+        raise ShapeMismatch(f"{what} shapes differ: {A.shape} vs {B.shape}")
+    return A, B
+
+
 def beta_distance(b_estimated, b_true):
     """Frobenius distance between two coefficient matrices."""
-    A = _as_2d(b_estimated, "b_estimated")
-    B = _as_2d(b_true, "b_true")
-    if A.shape != B.shape:
-        raise ShapeMismatch(f"coefficient shapes differ: {A.shape} vs {B.shape}")
+    A, B = _same_shape(b_estimated, b_true, ("b_estimated", "b_true"), "coefficient")
     return float(np.linalg.norm(A - B))
 
 
 def test_mse(y_true, y_pred):
     """Mean squared prediction error over all response entries."""
-    T = _as_2d(y_true, "y_true")
-    P = _as_2d(y_pred, "y_pred")
-    if T.shape != P.shape:
-        raise ShapeMismatch(f"response shapes differ: {T.shape} vs {P.shape}")
+    T, P = _same_shape(y_true, y_pred, ("y_true", "y_pred"), "response")
     return float(np.mean((T - P) ** 2))
 
 
@@ -47,10 +48,7 @@ def quantile_error(y_true, y_pred, tau):
     """Check loss of the prediction errors, summed over response columns and
     averaged over rows."""
     tau = validate_tau(tau)
-    T = _as_2d(y_true, "y_true")
-    P = _as_2d(y_pred, "y_pred")
-    if T.shape != P.shape:
-        raise ShapeMismatch(f"response shapes differ: {T.shape} vs {P.shape}")
+    T, P = _same_shape(y_true, y_pred, ("y_true", "y_pred"), "response")
     return float(check_loss(T - P, tau).sum() / T.shape[0])
 
 
@@ -91,6 +89,8 @@ def parse_recipe(text):
         kind = base[len("fpqr-"):]
         if kind not in FPQR_METRICS:
             raise ValueError(f"unknown recipe metric {kind!r}; expected one of {FPQR_METRICS}")
+        if level != level.strip():  # tags go unquoted into the study table
+            raise ValueError(f"quantile level {level!r} holds whitespace")
         tau = validate_tau(level) if level else 0.5
         return ModelRecipe(tag, "fpqr", kind, tau)
     raise ValueError(f"unknown recipe {text!r}; expected 'pls' or 'fpqr-<li|dodge|choi>[@tau]'")
@@ -346,6 +346,15 @@ class StudyAggregate:
     wall_time_std: float
 
 
+# EvalReport field -> the StudyAggregate fields ``<prefix>_mean`` and ``<prefix>_std``
+STUDY_METRICS = {
+    "beta_distance": "beta_distance",
+    "test_mse": "test_mse",
+    "quantile_error": "quantile_error",
+    "wall_time_seconds": "wall_time",
+}
+
+
 @dataclass
 class StudyResult:
     spec: SimulationSpec
@@ -381,14 +390,13 @@ def run_study(spec, recipes):
     for repetition in range(spec.repetitions):
         X, Y, X_test, Y_test, B_true = generate_simulation(spec, repetition)
         rep_reports = []
-        failure = None
         for recipe in recipes:
             started = time.perf_counter()
             try:
                 model = recipe.fit(X, Y, spec.n_components)
                 predicted = model.predict(X_test)
             except _FIT_ERRORS as exc:
-                failure = (repetition, recipe.tag, str(exc))
+                excluded.append((repetition, recipe.tag, str(exc)))
                 break
             elapsed = time.perf_counter() - started
             tau = recipe.tau if recipe.tau is not None else 0.5
@@ -403,36 +411,18 @@ def run_study(spec, recipes):
                     wall_time_seconds=elapsed,
                 )
             )
-        if failure is not None:
-            excluded.append(failure)
         else:
             reports.extend(rep_reports)
 
-    n_excluded = len(excluded)
     aggregates = []
-    for recipe in recipes:
-        rows = [r for r in reports if r.model_tag == recipe.tag]
+    for tag in tags:
+        rows = [r for r in reports if r.model_tag == tag]
         if not rows:
             continue
-        bd = _mean_std([r.beta_distance for r in rows])
-        mse = _mean_std([r.test_mse for r in rows])
-        qe = _mean_std([r.quantile_error for r in rows])
-        wall = _mean_std([r.wall_time_seconds for r in rows])
-        aggregates.append(
-            StudyAggregate(
-                model_tag=recipe.tag,
-                included=len(rows),
-                excluded=n_excluded,
-                beta_distance_mean=bd[0],
-                beta_distance_std=bd[1],
-                test_mse_mean=mse[0],
-                test_mse_std=mse[1],
-                quantile_error_mean=qe[0],
-                quantile_error_std=qe[1],
-                wall_time_mean=wall[0],
-                wall_time_std=wall[1],
-            )
-        )
+        stats = {}
+        for name, prefix in STUDY_METRICS.items():
+            stats[f"{prefix}_mean"], stats[f"{prefix}_std"] = _mean_std([getattr(r, name) for r in rows])
+        aggregates.append(StudyAggregate(tag, len(rows), len(excluded), **stats))
     return StudyResult(spec=spec, reports=reports, excluded=excluded, aggregates=aggregates)
 
 

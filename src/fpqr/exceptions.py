@@ -42,7 +42,7 @@ class ModelFormatError(DataError):
 
 
 class DegenerateDesignWarning(UserWarning):
-    """A constant predictor column was dropped from a quantile regression."""
+    """A quantile regression dropped predictor columns dependent on earlier ones (never the intercept)."""
 
 
 class ZeroVarianceWarning(UserWarning):

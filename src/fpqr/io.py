@@ -135,21 +135,15 @@ def write_matrix_csv(path, header, matrix):
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     if matrix.shape[1] != len(header):
         raise ValueError(f"matrix has {matrix.shape[1]} columns, header has {len(header)}")
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        # csv.writer would write each float as repr gives it, unquoted, and
-        # end each row with its "\r\n"; joining the row ourselves is the same
-        # text without a call per cell.
-        handle.writelines(",".join(map(repr, row)) + "\r\n" for row in matrix.tolist())
+    write_table_csv(path, header, (map(repr, row) for row in matrix.tolist()))
 
 
 def write_table_csv(path, header, rows):
-    """Write a header and rows of cells, each cell as ``str`` gives it."""
+    """Write a header and rows of text cells. The cells are joined unquoted,
+    so none may hold a comma, a double quote or a line break."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(handle).writerow(header)
+        handle.writelines(",".join(row) + "\r\n" for row in rows)
 
 
 def save_model(model, path, x_columns, y_columns):

@@ -64,10 +64,13 @@ def _pair(z1, z2):
 
 
 def qcov_li(z1, z2, tau):
-    """Mean of ``psi_tau(z2 - Q_tau(z2)) * (z1 - mean(z1))``."""
+    """Mean of ``psi_tau(z2 - Q_tau(z2)) * (z1 - mean(z1))``: exactly 0 when
+    ``z1`` is constant or no ``z2`` value lies below its quantile (psi == tau)."""
     z1, z2 = _pair(z1, z2)
     tau = validate_tau(tau)
     q = empirical_quantile(z2, tau)
+    if q == z2.min() or (z1 == z1[0]).all():
+        return 0.0
     return float(np.mean(psi(z2 - q, tau) * (z1 - z1.mean())))
 
 

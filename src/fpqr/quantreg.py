@@ -40,12 +40,9 @@ def validate_tau(tau):
 
 def check_loss(u, tau):
     """Tilted absolute loss ``u * (tau - 1[u < 0])``, elementwise."""
-    tau = validate_tau(tau)
     u = np.asarray(u, dtype=float)
-    out = u * (tau - (u < 0.0))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = u * psi(u, tau)
+    return float(out) if out.ndim == 0 else out
 
 
 def psi(u, tau):
@@ -167,7 +164,7 @@ def _solve_lp(D, y, tau):
         inverse[:, j] = column
     rows = np.sort(basis)
     params[keep] = np.linalg.solve(D[rows], y[rows])
-    return params, pivots
+    return params, pivots, keep
 
 
 def fit_quantile_regression(X, y, tau, with_intercept=True):
@@ -199,14 +196,15 @@ def fit_quantile_regression(X, y, tau, with_intercept=True):
     orthonormal basis of ``D``'s columns. It stops on an LP certificate: the
     duals of the k rows its vertex interpolates lie in the box. Residuals
     within 8 machine epsilons of the data scale count as zero and ties are
-    broken lexicographically, so tied data cannot cycle. Columns dependent on
-    earlier ones get coefficient 0. The coefficients are one k-by-k solve on
-    the interpolated rows in ascending order. ``QrFit.iterations`` counts the
-    pivots; past ``50 * (n + k)`` :class:`SolverFailure` is raised.
+    broken lexicographically, so tied data cannot cycle. The coefficients are
+    one k-by-k solve on the interpolated rows in ascending order.
+    ``QrFit.iterations`` counts the pivots; past ``50 * (n + k)``
+    :class:`SolverFailure` is raised.
 
-    With an intercept present, a constant predictor column is collinear with
-    it; such columns are dropped, reported through
-    :class:`DegenerateDesignWarning`, and given coefficient 0.
+    The intercept column comes first, so it is never dropped. A predictor
+    column that depends on earlier ones by the QR factorization's scale-free
+    tolerance (a constant or nearly constant one, with an intercept) gets
+    coefficient 0 and is named in :class:`DegenerateDesignWarning`.
     """
     tau = validate_tau(tau)
     y = np.asarray(y, dtype=float).ravel()
@@ -226,26 +224,18 @@ def fit_quantile_regression(X, y, tau, with_intercept=True):
     if X.size and not np.isfinite(X).all():
         raise ValueError("X contains non-finite entries")
     n, p = X.shape
-    n_params = p + int(with_intercept)
+    lead = int(with_intercept)  # the intercept column, first in the design
+    n_params = p + lead
     if n < n_params:
         raise ValueError(f"need at least {n_params} observations for {n_params} parameters, got {n}")
 
-    active = np.ones(p, dtype=bool)
-    if with_intercept and p:
-        constant = np.all(X == X[0], axis=0)
-        if constant.any():
-            dropped = np.flatnonzero(constant).tolist()
-            warnings.warn(
-                f"constant predictor column(s) {dropped} dropped; their coefficients are 0",
-                DegenerateDesignWarning,
-                stacklevel=2,
-            )
-            active &= ~constant
-
-    params, iterations = _solve_lp(np.hstack([X[:, active], np.ones((n, int(with_intercept)))]), y, tau)
-    coefficients = np.zeros(p)
-    coefficients[active] = params[: active.sum()]
-    intercept = float(params[-1]) if with_intercept else 0.0
+    params, iterations, kept = _solve_lp(np.hstack([np.ones((n, lead)), X]), y, tau)
+    dropped = np.flatnonzero(~kept[lead:]).tolist()
+    if dropped:
+        message = f"predictor column(s) {dropped} depend on earlier columns and were dropped; their coefficients are 0"
+        warnings.warn(message, DegenerateDesignWarning, stacklevel=2)
+    coefficients = params[lead:]
+    intercept = float(params[0]) if with_intercept else 0.0
 
     residuals = y - X @ coefficients - intercept
     objective = float(np.mean(check_loss(residuals, tau)))

@@ -77,6 +77,13 @@ class TestParseRecipe:
         with pytest.raises(ValueError):
             parse_recipe(bad)
 
+    @pytest.mark.parametrize("bad", ["fpqr-li@\n0.5", "fpqr-li@ 0.5", "fpqr-li@\t0.25"])
+    def test_rejects_whitespace_in_the_level(self, bad):
+        # float() takes such a level, but the tag, line break included, would
+        # reach the study table's cells.
+        with pytest.raises(ValueError, match="whitespace"):
+            parse_recipe(bad)
+
 
 def rank3_data(seed=0, n=60, m=12, l=2):
     rng = np.random.default_rng(seed)

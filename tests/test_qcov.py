@@ -39,6 +39,20 @@ class TestQcovLi:
         z2 = np.arange(6.0)
         assert qcov_li(np.full(6, 3.0), z2, 0.4) == 0.0
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_constant_weights_give_exactly_the_matrix_zero(self, seed):
+        # n * tau < 1: no z2 value lies below its quantile, so psi == tau and
+        # the value is tau * mean(z1 - mean(z1)), exactly 0 in the matrix form.
+        rng = np.random.default_rng(seed)
+        z1, z2 = 1e6 * rng.normal(size=10), rng.normal(size=10)
+        assert qcov_matrix(z1[:, None], z2[:, None], QcovMetric("li", 0.05))[0, 0] == 0.0
+        assert qcov_li(z1, z2, 0.05) == 0.0
+
+    def test_constant_first_argument_gives_exactly_the_matrix_zero(self):
+        z1, z2 = np.full(7, 0.1), np.random.default_rng(4).normal(size=7)
+        assert qcov_matrix(z1[:, None], z2[:, None], QcovMetric("li", 0.5))[0, 0] == 0.0
+        assert qcov_li(z1, z2, 0.5) == 0.0
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             qcov_li([1.0, 2.0], [1.0, 2.0, 3.0], 0.5)

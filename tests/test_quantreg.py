@@ -167,6 +167,36 @@ class TestFitQuantileRegression:
         assert fit.coefficients[0] == pytest.approx(clean.coefficients[0], abs=1e-9)
         assert fit.intercept == pytest.approx(clean.intercept, abs=1e-9)
 
+    def test_nearly_constant_column_dropped_not_the_intercept(self):
+        # A column a few units of rounding from constant passes an exact
+        # constant test; the dependent-column rule must still drop it, and
+        # not the intercept, which it is all but collinear with.
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=30)
+        y = 2.0 * x + rng.normal(size=30)
+        near = np.full(30, 7.0)
+        near[3] = 7.0 + 7.0 * 2.0**-50
+        with pytest.warns(DegenerateDesignWarning, match=r"\[1\]"):
+            fit = fit_quantile_regression(np.column_stack([x, near]), y, 0.5)
+        clean = fit_quantile_regression(x[:, None], y, 0.5)
+        assert fit.coefficients[1] == 0.0
+        assert fit.coefficients[0] == pytest.approx(clean.coefficients[0], abs=1e-9)
+        assert fit.intercept == pytest.approx(clean.intercept, abs=1e-9)
+
+    @pytest.mark.parametrize("with_intercept", [True, False])
+    def test_dependent_column_named_and_zeroed(self, with_intercept):
+        rng = np.random.default_rng(16)
+        X = rng.normal(size=(40, 3))
+        X[:, 1] = 2.0 * X[:, 0] - X[:, 2] + 3.0 * with_intercept
+        X[:, [1, 2]] = X[:, [2, 1]]  # the dependent column last, at index 2
+        y = X[:, 0] - X[:, 1] + rng.standard_t(3, size=40)
+        with pytest.warns(DegenerateDesignWarning, match=r"\[2\]"):
+            fit = fit_quantile_regression(X, y, 0.4, with_intercept=with_intercept)
+        clean = fit_quantile_regression(X[:, :2], y, 0.4, with_intercept=with_intercept)
+        assert fit.coefficients[2] == 0.0
+        assert_allclose(fit.coefficients[:2], clean.coefficients, rtol=0, atol=1e-9)
+        assert fit.intercept == pytest.approx(clean.intercept, abs=1e-9)
+
     def test_without_intercept_goes_through_origin(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         y = 2.0 * x
@@ -322,9 +352,9 @@ def test_study_fits_are_the_solve_on_their_interpolated_rows(scheme, law, seed, 
     solve = quantreg._solve_lp
 
     def recording(D, y, tau):
-        params, pivots = solve(D, y, tau)
+        params, pivots, kept = solve(D, y, tau)
         calls.append((D, y, params))
-        return params, pivots
+        return params, pivots, kept
 
     monkeypatch.setattr(quantreg, "_solve_lp", recording)
     spec = make_simulation_spec(scheme, law, repetitions=1, seed=seed)

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 
 from fpqr import ModelRecipe, least_squares, parse_recipe
 from fpqr.cli import main
-from fpqr.io import write_matrix_csv
+from fpqr.io import read_dataset, split_response_columns, write_matrix_csv
 
 TAGS = ["pls", "fpqr-li", "fpqr-dodge", "fpqr-choi"]
 SCALES = [1e-12, 1e-9, 1e-6, 1.0, 1e6, 1e9, 1e12]
@@ -144,3 +144,25 @@ def test_wide_regime(tag):
     scaled = r.fit(1e-9 * X, Y, 3)
     assert scaled.effective_components == 3
     assert relative_error(scaled.predict(1e-9 * X), full.predict(X)) <= 1e-6
+
+
+def test_wide_regime_cli_round_trip(tmp_path):
+    # fpqr fit and fpqr predict through the model file at the m >> n shape
+    # give, bit for bit, the in-process model's predictions.
+    X, Y = wide_data()
+    X_new = wide_data(seed=7)[0]
+    x_names = [f"ch{j}" for j in range(X.shape[1])]
+    y_names = [f"y{k}" for k in range(Y.shape[1])]
+    write_matrix_csv(tmp_path / "train.csv", x_names + y_names, np.hstack([X, Y]))
+    write_matrix_csv(tmp_path / "new.csv", x_names, X_new)
+    model_path, out = str(tmp_path / "model.json"), str(tmp_path / "pred.csv")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fit", "--method", "fpqr", "--metric", "li", "--data", str(tmp_path / "train.csv"),
+                     "--response-cols", ",".join(y_names), "--components", "6", "--out", model_path]) == 0
+        assert main(["predict", "--model", model_path, "--x", str(tmp_path / "new.csv"), "--out", out]) == 0
+    header, predicted = read_dataset(out)
+    assert header == y_names
+    # The in-process fit reads the table as the CLI does: the split columns'
+    # memory order reaches BLAS and so the last bits of the fit.
+    X_read, Y_read = split_response_columns(*read_dataset(tmp_path / "train.csv"), y_names)[:2]
+    assert predicted.tobytes() == recipe("fpqr-li").fit(X_read, Y_read, 6).predict(X_new).tobytes()
