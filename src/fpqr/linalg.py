@@ -11,8 +11,8 @@ CENTERING_MODES = ("mean", "none")
 
 
 def as_matrix(a, name="matrix"):
-    """Coerce ``a`` to a finite, non-empty 2-d float64 array."""
-    M = np.asarray(a, dtype=np.float64)
+    """Coerce ``a`` to a finite, non-empty 2-d float64 array in C order, so one layout reaches the fit."""
+    M = np.asarray(a, dtype=np.float64, order="C")
     if M.ndim != 2:
         raise ValueError(f"{name} must be 2-d, got {M.ndim}-d")
     if M.shape[0] == 0 or M.shape[1] == 0:

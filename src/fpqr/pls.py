@@ -153,8 +153,8 @@ def extract_components(X0, Y0, n_components, cross_product):
             break
         p = Xa.T @ t / tt
         q = Ya.T @ t / tt
-        Xa = Xa - np.outer(t, p)
-        Ya = Ya - np.outer(t, q)
+        Xa -= np.outer(t, p)
+        Ya -= np.outer(t, q)
         ws.append(w)
         ps.append(p)
         qs.append(q)

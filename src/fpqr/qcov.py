@@ -27,7 +27,7 @@ from .exceptions import (
     ZeroVarianceWarning,
 )
 from .linalg import as_matrix, column_centers, constant_columns
-from .quantreg import empirical_quantile, psi, quantile_slopes, validate_tau
+from .quantreg import _quantile_rank, empirical_quantile, psi, quantile_slopes, validate_tau
 
 METRIC_KINDS = ("classical", "li", "dodge", "choi")
 
@@ -164,9 +164,10 @@ def qcov_matrix(X, Y, metric):
 
     tau = metric.tau
     if metric.kind == "li":
-        quantiles = np.array([empirical_quantile(Y[:, k], tau) for k in range(l)])
-        weights = psi(Y - quantiles, tau)
-        weights[:, quantiles == [Y[:, k].min() for k in range(l)]] = 0.0  # psi == tau: nothing lies below the quantile
+        rank = _quantile_rank(n, tau)
+        below = Y < np.partition(Y, rank - 1, axis=0)[rank - 1]
+        weights = np.where(below, tau - 1.0, tau)
+        weights[:, ~below.any(axis=0)] = 0.0  # psi == tau: nothing lies below the quantile
         return ((X - column_centers(X)).T @ weights) / n
 
     return _slope_values(metric.kind, X, Y, tau, coordinates=True).reshape(m, l)

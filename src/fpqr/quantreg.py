@@ -28,6 +28,11 @@ _BRACKET_RTOL = 2.0**-40
 _TIE_EPS = 8 * np.finfo(float).eps
 # Pivots the inner simplex may take, per row and parameter, before it gives up.
 _PIVOT_CAP = 50
+# The inner simplex starts from this many rounds of reweighted least squares
+# (Schlossmacher 1973): row i weighs tau / |r_i| above the fit and
+# (1 - tau) / |r_i| below it, |r| floored at _START_FLOOR of its mean.
+_START_ROUNDS = 8
+_START_FLOOR = 0.1
 
 
 def validate_tau(tau):
@@ -111,9 +116,15 @@ def _solve_lp(D, y, tau):
     D = D[:, keep]
     # The simplex runs on q: the same program and vertices, beta = R^-1 gamma,
     # without D's conditioning. It starts on the rows a pivoted Gram-Schmidt
-    # picks, rows weighted by 1/|least-squares residual less its tau-quantile|
-    # (at most 1e8 apart, so rounding cannot pick a dependent row).
+    # picks, rows weighted by 1/|r less its tau-quantile| (at most 1e8 apart, so
+    # rounding cannot pick a dependent row), r from least squares and
+    # _START_ROUNDS reweightings.
     residual = y - q @ (q.T @ y)
+    for _ in range(_START_ROUNDS):
+        size = np.abs(residual)
+        size /= size.mean() or 1.0
+        qw = q.T * (np.where(residual > 0.0, tau, 1.0 - tau) / np.maximum(size, _START_FLOOR))
+        residual = y - q @ np.linalg.solve(qw @ q, qw @ y)
     gap = np.abs(residual - empirical_quantile(residual, tau))
     scaled = q / np.maximum(gap, 1e-8 * max(gap.max(), np.abs(y).max()) or 1.0)[:, None]
     basis = np.empty(D.shape[1], dtype=np.intp)
@@ -193,12 +204,14 @@ def fit_quantile_regression(X, y, tau, with_intercept=True):
     1978), maximize ``y @ a`` subject to ``D.T @ a = 0`` and
     ``tau - 1 <= a <= tau`` (``D`` stacks the predictors and the intercept
     column), by an exact simplex after Barrodale & Roberts (1974) on an
-    orthonormal basis of ``D``'s columns. It stops on an LP certificate: the
-    duals of the k rows its vertex interpolates lie in the box. Residuals
-    within 8 machine epsilons of the data scale count as zero and ties are
-    broken lexicographically, so tied data cannot cycle. The coefficients are
-    one k-by-k solve on the interpolated rows in ascending order.
-    ``QrFit.iterations`` counts the pivots; past ``50 * (n + k)``
+    orthonormal basis of ``D``'s columns, from a vertex that eight rounds of
+    iteratively reweighted least squares (Schlossmacher 1973) put near the
+    optimum. It stops on an LP certificate: the duals of the k rows its vertex
+    interpolates lie in the box. Residuals within 8 machine epsilons of the
+    data scale count as zero and ties are broken lexicographically, so tied
+    data cannot cycle. The coefficients are one k-by-k solve on the
+    interpolated rows in ascending order. ``QrFit.iterations`` counts the
+    simplex's pivots, not the reweighting rounds; past ``50 * (n + k)``
     :class:`SolverFailure` is raised.
 
     The intercept column comes first, so it is never dropped. A predictor

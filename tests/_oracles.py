@@ -2,7 +2,7 @@
 
 Nothing here shares code with the package internals: the leading direction
 comes from a full dense eigendecomposition, least squares from the normal
-equations, quantile regression from exhaustive vertex enumeration or from its
+equations, the li metric from one column and one row at a time, quantile regression from exhaustive vertex enumeration or from its
 primal linear program, the mean-based fit from a straight-line
 transcription of the classical recursion, and CSV files from ``csv`` and
 one ``float`` call per cell.
@@ -87,6 +87,30 @@ def primal_quantile_lp(D, y, tau):
     res = linprog(c, A_eq=A, b_eq=y, bounds=bounds, method="highs")
     assert res.success, res.message
     return res.x[:k]
+
+
+def li_cross_product(X, Y, tau):
+    """The ``li`` metric between every column of X and of Y, one column at a time.
+
+    Each Y column's weight is psi_tau(z - q) = tau - 1[z < q] at its lower
+    empirical quantile q, the ceil(n*tau)-th order statistic, set to 0 when
+    no value lies below q (the weight is then tau everywhere). A constant X
+    column centers to exact zeros. The last step is the package's own
+    product, so the result can be compared bit for bit.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    n = X.shape[0]
+    rank = max(math.ceil(n * tau - 1e-12), 1)
+    weights = np.zeros_like(Y)
+    for k in range(Y.shape[1]):
+        z = Y[:, k]
+        q = sorted(z)[rank - 1]
+        if any(v < q for v in z):
+            weights[:, k] = [tau - 1.0 if v < q else tau for v in z]
+    constant = (X == X[0]).all(axis=0)
+    centered = np.where(constant, 0.0, X - X.mean(axis=0))
+    return (centered.T @ weights) / n
 
 
 def profiled_slope_objective(x, y, slope, tau):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from fpqr import QcovMetric, empirical_quantile, fit_fpqr, fit_pls, predict_quantile, quantreg
+from fpqr.evaluate import generate_simulation, make_simulation_spec
 from fpqr.exceptions import DimensionMismatch
 
 from _oracles import check_loss_mean, local_minimum_certificate
@@ -180,6 +181,21 @@ class TestDegenerateInputs:
             expected = Y[:, k].mean() + empirical_quantile(Yc[:, k], tau)
             assert pred[0, k] == pytest.approx(expected, abs=1e-9)
         assert_allclose(pred, np.broadcast_to(pred[0], pred.shape), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "fit",
+        [lambda X, Y: fit_fpqr(X, Y, 10, metric="li"), lambda X, Y: fit_pls(X, Y, 10)],
+        ids=["li", "pls"],
+    )
+    def test_memory_order_does_not_change_the_fit(self, fit):
+        # Column blocks selected from a table are Fortran-ordered; they must
+        # fit exactly as their C-ordered copies.
+        X, Y = generate_simulation(make_simulation_spec("sim2", None, repetitions=1, seed=0), 0)[:2]
+        c_fit = fit(X, Y)
+        f_fit = fit(np.asfortranarray(X), np.asfortranarray(Y))
+        assert_array_equal(f_fit.coefficients, c_fit.coefficients)
+        assert_array_equal(f_fit.intercepts, c_fit.intercepts)
+        assert_array_equal(f_fit.predict(np.asfortranarray(X)), c_fit.predict(X))
 
     def test_row_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -8,6 +8,8 @@ from fpqr import QcovMetric, fit_quantile_regression, qcor_choi, qcov_choi, qcov
 from fpqr import quantreg
 from fpqr.exceptions import DiscordantSlopesWarning, LengthMismatch, ZeroVarianceWarning
 
+from _oracles import li_cross_product
+
 # A pair whose two directional median-regression slopes disagree in sign.
 # Frozen from a short random search; the slopes are roughly -0.035 and +0.43.
 DISCORDANT_Z1 = np.array([0.1257, -0.1321, 0.6404, 0.1049, -0.5357, 0.3616, 1.304, 0.9471])
@@ -52,6 +54,22 @@ class TestQcovLi:
         z1, z2 = np.full(7, 0.1), np.random.default_rng(4).normal(size=7)
         assert qcov_matrix(z1[:, None], z2[:, None], QcovMetric("li", 0.5))[0, 0] == 0.0
         assert qcov_li(z1, z2, 0.5) == 0.0
+
+    @pytest.mark.parametrize("tau", [0.04, 0.25, 0.5, 0.9])
+    def test_matrix_is_the_per_column_formula(self, tau):
+        # n * tau < 1 at tau = 0.04: every weight is tau, so every column is
+        # zeroed. Y's columns: continuous, tied integers, and a smallest value
+        # held by 15 of 20 rows (nothing lies below its quantile up to tau = 0.75).
+        # X's columns: continuous, tied integers, constant.
+        rng = np.random.default_rng(23)
+        n = 20
+        X = np.column_stack([rng.normal(size=n), rng.integers(-2, 3, size=n), np.full(n, 1.5)])
+        floor = np.where(np.arange(n) < 15, -1.0, rng.uniform(size=n))
+        Y = np.column_stack([rng.standard_t(2, size=n), rng.integers(0, 4, size=n), floor])
+        values = qcov_matrix(X, Y, QcovMetric("li", tau))
+        np.testing.assert_array_equal(values, li_cross_product(X, Y, tau))
+        assert (values[2] == 0.0).all()
+        assert (values[:, 2] == 0.0).all() == (tau <= 0.75)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from fpqr import check_loss, empirical_quantile, fit_fpqr, fit_quantile_regression, psi
+from fpqr import fpqr as fpqr_module
 from fpqr import quantreg
 from fpqr.evaluate import generate_simulation, make_simulation_spec
 from fpqr.exceptions import DegenerateDesignWarning, EmptyInput, LengthMismatch, SolverFailure
@@ -303,6 +304,76 @@ class TestAgainstPrimalProgram:
         X = rng.normal(size=(150, 5))
         y = X @ rng.normal(size=5) + rng.standard_t(2, size=150)
         assert_matches_primal(X, y, tau)
+
+
+class TestReweightedStart:
+    """Inputs that zero, tie or skew the residuals of the reweighting rounds
+    that start the simplex. pytest turns a RuntimeWarning into an error."""
+
+    @pytest.mark.parametrize("tau", [0.02, 0.5, 0.98])
+    def test_response_in_the_column_span(self, tau):
+        rng = np.random.default_rng(46)
+        X = rng.integers(-3, 4, size=(30, 3)).astype(float)
+        y = X @ [2.0, -1.0, 0.5] + 4.0  # every least-squares residual is 0
+        assert_matches_primal(X, y, tau)
+
+    @pytest.mark.parametrize("tau", [0.02, 0.5, 0.98])
+    def test_constant_response(self, tau):
+        X = np.random.default_rng(47).normal(size=(25, 2))
+        fit = fit_quantile_regression(X, np.full(25, -7.0), tau)
+        assert fit.objective == 0.0
+        assert_matches_primal(X, np.full(25, -7.0), tau)
+
+    @pytest.mark.parametrize("tau", [0.02, 0.3, 0.5, 0.98])
+    def test_integer_tied_response(self, tau):
+        rng = np.random.default_rng(48)
+        X = rng.normal(size=(50, 4))
+        y = rng.integers(-2, 3, size=50).astype(float)
+        assert_matches_primal(X, y, tau)
+
+    @pytest.mark.parametrize("tau", [0.02, 0.98])
+    def test_extreme_levels_with_many_parameters(self, tau):
+        rng = np.random.default_rng(49)
+        X = rng.normal(size=(120, 20))
+        y = X @ rng.normal(size=20) + rng.standard_t(1, size=120)
+        assert_matches_primal(X, y, tau)
+
+    @pytest.mark.parametrize("tau", [0.02, 0.5, 0.98])
+    def test_every_column_dropped(self, tau):
+        # No intercept and an all-zero design: the simplex has k = 0.
+        y = np.random.default_rng(50).normal(size=15)
+        with pytest.warns(DegenerateDesignWarning):
+            fit = fit_quantile_regression(np.zeros((15, 2)), y, tau, with_intercept=False)
+        assert fit.iterations == 0
+        assert_array_equal(fit.coefficients, 0.0)
+        with pytest.warns(DegenerateDesignWarning):
+            assert_matches_primal(np.zeros((15, 2)), y, tau, with_intercept=False)
+
+
+def study_pivots(scheme, law, repetitions, components, monkeypatch):
+    # Simplex pivots summed over every inner fit of the fpqr-li fits of a
+    # study's first repetitions at seed 0.
+    pivots = []
+    fit = fpqr_module.fit_quantile_regression
+
+    def counting(*args, **kwargs):
+        result = fit(*args, **kwargs)
+        pivots.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(fpqr_module, "fit_quantile_regression", counting)
+    spec = make_simulation_spec(scheme, law, repetitions=repetitions, seed=0)
+    for repetition in range(repetitions):
+        X, Y = generate_simulation(spec, repetition)[:2]
+        fit_fpqr(X, Y, components, tau=0.5, metric="li")
+    return sum(pivots)
+
+
+def test_reweighted_start_saves_pivots(monkeypatch):
+    # A least-squares start took 85 pivots over sim2's three inner fits at
+    # h = 30, and 109 over the first 20 sim3-low/t1 fits at h = 2.
+    assert study_pivots("sim2", None, 1, 30, monkeypatch) <= 0.6 * 85
+    assert study_pivots("sim3-low", "t1", 20, 2, monkeypatch) <= 0.6 * 109
 
 
 @pytest.mark.filterwarnings("ignore::fpqr.exceptions.DegenerateDesignWarning")
