@@ -110,10 +110,11 @@ def cmd_fit(args):
         objective = quantile_error(Y, model.predict(X), recipe.tau)
         detail = f"metric={recipe.metric} tau={recipe.tau:g}"
     save_model(model, args.out, x_names, y_names)
+    stop = f" stop={model.stop_reason}" if model.effective_components < model.requested_components else ""
     print(
         f"fit method={args.method} {detail} "
         f"components={model.effective_components}/{model.requested_components} "
-        f"training-objective={objective:.6g}"
+        f"training-objective={objective:.6g}{stop}"
     )
     return EXIT_OK
 

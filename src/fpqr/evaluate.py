@@ -1,5 +1,11 @@
 """Evaluation metrics, cross-validation, and the synthetic benchmark studies."""
 
+__all__ = [
+    "CvResult", "EvalReport", "ModelRecipe", "SimulationSpec", "StudyAggregate", "StudyResult",
+    "beta_distance", "cross_validate", "generate_simulation", "make_simulation_spec", "parse_recipe",
+    "quantile_error", "run_study", "test_mse",
+]
+
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -425,20 +431,3 @@ def run_study(spec, recipes):
         aggregates.append(StudyAggregate(tag, len(rows), len(excluded), **stats))
     return StudyResult(spec=spec, reports=reports, excluded=excluded, aggregates=aggregates)
 
-
-__all__ = [
-    "CvResult",
-    "EvalReport",
-    "ModelRecipe",
-    "SimulationSpec",
-    "StudyAggregate",
-    "StudyResult",
-    "beta_distance",
-    "cross_validate",
-    "generate_simulation",
-    "make_simulation_spec",
-    "parse_recipe",
-    "quantile_error",
-    "run_study",
-    "test_mse",
-]

@@ -1,5 +1,11 @@
 """Errors and warnings shared across the package."""
 
+__all__ = [
+    "AllZeroCrossProduct", "DataError", "DegenerateDesignWarning", "DimensionMismatch",
+    "DiscordantSlopesWarning", "EmptyInput", "IllConditionedWarning", "InvalidSpec", "LengthMismatch",
+    "ModelFormatError", "RankDeficient", "ShapeMismatch", "SolverFailure", "ZeroVarianceWarning",
+]
+
 
 class AllZeroCrossProduct(RuntimeError):
     """The cross-product matrix is exactly zero, so it has no leading direction."""

@@ -8,6 +8,8 @@ result estimates a conditional quantile of each response rather than its mean,
 which keeps heavy-tailed response noise from steering the fit.
 """
 
+__all__ = ["fit_fpqr", "predict_quantile"]
+
 import numpy as np
 
 from .pls import _least_squares_inner, component_path

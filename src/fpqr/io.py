@@ -7,6 +7,8 @@ stored as versioned JSON; floats go through Python's shortest round-trip
 representation, so reloading reproduces predictions exactly.
 """
 
+__all__ = ["load_model", "read_dataset", "save_model", "split_response_columns", "write_matrix_csv"]
+
 import csv
 import json
 import re

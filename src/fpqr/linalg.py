@@ -1,6 +1,8 @@
 """Dense-matrix building blocks: validation, column centering, the leading left
 singular direction of a cross-product matrix, and small least-squares solves."""
 
+__all__ = ["CenteringInfo", "as_matrix", "center_columns", "leading_left_singular_vector", "least_squares"]
+
 from dataclasses import dataclass
 
 import numpy as np

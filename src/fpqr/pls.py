@@ -11,6 +11,8 @@ differ only in the two functions they hand the core: the mean-based fit
 quantile fit swaps in a quantile dependence metric and quantile regression.
 """
 
+__all__ = ["FittedModel", "LatentDecomposition", "fit_pls", "predict"]
+
 import operator
 import warnings
 from dataclasses import dataclass
@@ -27,7 +29,7 @@ _RCOND_WARN = 1e-12
 
 @dataclass
 class LatentDecomposition:
-    """Weights, loadings and scores produced by the extraction loop.
+    """Weights, loadings and scores produced by the extraction loop, and why it stopped.
 
     Attributes
     ----------
@@ -37,12 +39,17 @@ class LatentDecomposition:
     y_loadings : array, shape (l, h)
     scores : array, shape (n, h) or None
         Training scores; dropped when a model is reloaded from disk.
+    stop_reason : str or None
+        ``"requested"`` once every requested component is extracted, else
+        ``"small-cross-product"`` or ``"small-score"`` for the test that ended
+        the loop (see :func:`extract_components`); None when reloaded from disk.
     """
 
     weights: np.ndarray
     x_loadings: np.ndarray
     y_loadings: np.ndarray
     scores: Optional[np.ndarray]
+    stop_reason: Optional[str] = None
 
     @property
     def n_components(self):
@@ -71,6 +78,11 @@ class FittedModel:
     @property
     def effective_components(self):
         return self.decomposition.n_components
+
+    @property
+    def stop_reason(self):
+        """Why extraction stopped; see :class:`LatentDecomposition`."""
+        return self.decomposition.stop_reason
 
     @property
     def n_features(self):
@@ -130,7 +142,8 @@ def extract_components(X0, Y0, n_components, cross_product):
 
     ``cross_product`` maps the current blocks ``(X_a, Y_a)`` to an (m, l)
     matrix ``S_a``. The loop stops early once ``||S_a||_F <= 1e-12 ||S_0||_F``
-    (at a = 0, only an exactly zero ``S_0``) or a score has ``t @ t <= (1e-12 ||X0||_F)**2``.
+    (at a = 0, only an exactly zero ``S_0``; stop reason ``"small-cross-product"``)
+    or a score has ``t @ t <= (1e-12 ||X0||_F)**2`` (``"small-score"``).
     """
     Xa = X0.copy()
     Ya = Y0.copy()
@@ -138,6 +151,7 @@ def extract_components(X0, Y0, n_components, cross_product):
     l = Ya.shape[1]
     min_tt = (_STOP_RTOL * np.linalg.norm(X0)) ** 2
     ws, ps, qs, ts = [], [], [], []
+    reason = "requested"
     for a in range(n_components):
         S = np.asarray(cross_product(Xa, Ya), dtype=float)
         if S.shape != (m, l):
@@ -145,11 +159,13 @@ def extract_components(X0, Y0, n_components, cross_product):
         size = np.linalg.norm(S)
         min_size = min_size if a else _STOP_RTOL * size
         if size <= min_size:
+            reason = "small-cross-product"
             break
         w, _ = leading_left_singular_vector(S)
         t = Xa @ w
         tt = float(t @ t)
         if tt <= min_tt:
+            reason = "small-score"
             break
         p = Xa.T @ t / tt
         q = Ya.T @ t / tt
@@ -159,13 +175,8 @@ def extract_components(X0, Y0, n_components, cross_product):
         ps.append(p)
         qs.append(q)
         ts.append(t)
-    if ws:
-        return LatentDecomposition(
-            np.column_stack(ws), np.column_stack(ps), np.column_stack(qs), np.column_stack(ts)
-        )
-    return LatentDecomposition(
-        np.zeros((m, 0)), np.zeros((m, 0)), np.zeros((l, 0)), np.zeros((n, 0))
-    )
+    stack = lambda columns, rows: np.column_stack(columns) if columns else np.zeros((rows, 0))
+    return LatentDecomposition(stack(ws, m), stack(ps, m), stack(qs, l), stack(ts, n), reason)
 
 
 def back_project(decomposition, gamma, n_features, n_responses):
@@ -225,7 +236,9 @@ def component_path(X, Y, n_components, center, cross_product, inner, metric=None
         h = resolve_components(h, n, m)
         if h > extracted:
             raise ValueError(f"the path holds {extracted} components, got {h}")
-        prefix = LatentDecomposition(*(np.ascontiguousarray(a[:, :h]) for a in vars(path).values()))
+        arrays = (path.weights, path.x_loadings, path.y_loadings, path.scores)
+        reason = path.stop_reason if path.n_components < h else "requested"
+        prefix = LatentDecomposition(*(np.ascontiguousarray(a[:, :h]) for a in arrays), reason)
         gamma, intercepts = inner(prefix.scores, Yc)
         return FittedModel(
             decomposition=prefix,

@@ -15,6 +15,8 @@ slopes behind ``dodge`` and ``choi`` come from one batched call to
 the check loss's slope, not one quantile regression per pair.
 """
 
+__all__ = ["QcovMetric", "qcor_choi", "qcov_choi", "qcov_dodge", "qcov_li", "qcov_matrix"]
+
 import warnings
 from dataclasses import dataclass
 
@@ -74,9 +76,9 @@ def qcov_li(z1, z2, tau):
     return float(np.mean(psi(z2 - q, tau) * (z1 - z1.mean())))
 
 
-def _slope_values(kind, X, Y, tau, correlation=False, coordinates=False):
+def _slope_values(kind, X, Y, tau, correlation=False):
     # Dodge or choi values between every column of X and of Y, flattened row-major. A degenerate
-    # pair (a constant column; for choi also discordant slopes) warns, naming (j, k) if ``coordinates``, and gets 0.
+    # pair (a constant column; for choi also discordant slopes) warns, naming its entry (j, k), and gets 0.
     m, l = X.shape[1], Y.shape[1]
     jx = np.repeat(np.arange(m), l)
     jy = np.tile(np.arange(l), m)
@@ -97,14 +99,13 @@ def _slope_values(kind, X, Y, tau, correlation=False, coordinates=False):
         root = product if correlation else (var_x * b21) * (var_y * b12)
         values = np.sign(b21) * np.sqrt(np.where(discordant, 0.0, root))
     for i in np.flatnonzero(zero | discordant):
-        where = f" at entry ({jx[i]}, {jy[i]})" if coordinates else ""
         if discordant[i]:
             message, category = "directional quantile slopes disagree in sign", DiscordantSlopesWarning
         elif kind == "dodge":
             message, category = "first argument has zero variance", ZeroVarianceWarning
         else:
             message, category = "an argument has zero variance", ZeroVarianceWarning
-        warnings.warn(f"{message}{where}; value set to 0", category, stacklevel=3)
+        warnings.warn(f"{message} at entry ({jx[i]}, {jy[i]}); value set to 0", category, stacklevel=3)
     values[zero | discordant] = 0.0
     return values
 
@@ -170,4 +171,4 @@ def qcov_matrix(X, Y, metric):
         weights[:, ~below.any(axis=0)] = 0.0  # psi == tau: nothing lies below the quantile
         return ((X - column_centers(X)).T @ weights) / n
 
-    return _slope_values(metric.kind, X, Y, tau, coordinates=True).reshape(m, l)
+    return _slope_values(metric.kind, X, Y, tau).reshape(m, l)

@@ -3,6 +3,8 @@ the check-loss linear program by an exact bound-flipping simplex; an exact
 batched search for one-regressor quantile slopes; and the scalar pieces both
 are built from (check loss, its subgradient weight, empirical quantiles)."""
 
+__all__ = ["QrFit", "check_loss", "empirical_quantile", "fit_quantile_regression", "psi", "validate_tau"]
+
 import warnings
 from dataclasses import dataclass
 

@@ -312,6 +312,14 @@ class TestModelFile:
         loaded, _ = load_model(path)
         assert_array_equal(loaded.predict(X[:4]), model.predict(X[:4]))
 
+    def test_stop_reason_is_not_stored(self, tmp_path):
+        _, model = self.fit_small()
+        path = tmp_path / "model.json"
+        save_model(model, path, ["a", "b", "c"], ["u", "v"])
+        assert model.stop_reason == "requested"
+        assert '"requested"' not in path.read_text()
+        assert load_model(path)[0].stop_reason is None
+
 
 class TestCliFitPredict:
     def test_fit_then_predict(self, xy_files, tmp_path, capsys):
@@ -330,6 +338,18 @@ class TestCliFitPredict:
         assert names == ["y0"]
         model, _ = load_model(model_path)
         assert_array_equal(P, model.predict(X))
+
+    def test_fit_names_the_stop_reason_only_when_short(self, tmp_path, capsys):
+        t = np.random.default_rng(5).normal(size=(20, 1))
+        x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
+        write_csv(x_path, ["a", "b"], np.hstack([t, -t]).tolist())
+        write_csv(y_path, ["y"], (3.0 * t).tolist())
+        for components, summary in (("1", "components=1/1"), ("2", "components=1/2")):
+            argv = ["fit", "--method", "pls", "--x", str(x_path), "--y", str(y_path), "--components", components]
+            assert main([*argv, "--out", str(tmp_path / "m.json")]) == 0
+            out = capsys.readouterr().out
+            assert summary in out
+            assert out.rstrip().endswith("stop=small-cross-product") == (components == "2")
 
     def test_fit_pls_reports_mse_objective(self, xy_files, tmp_path, capsys):
         x_path, y_path, _, _ = xy_files

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from fpqr import fit_fpqr, fit_pls, predict
 from fpqr.exceptions import DimensionMismatch, IllConditionedWarning, RankDeficient
-from fpqr.pls import LatentDecomposition, back_project, resolve_components
+from fpqr.pls import PLS_PARTS, LatentDecomposition, back_project, component_path, resolve_components
 
 from _oracles import reference_nipals
 
@@ -111,6 +111,7 @@ class TestEarlyStop:
         Y = np.zeros((20, 2))
         model = fit_pls(X, Y, n_components=3)
         assert model.effective_components == 0
+        assert model.stop_reason == "small-cross-product"
         assert_allclose(model.coefficients, np.zeros((5, 2)))
         assert_allclose(model.predict(X), np.zeros((20, 2)), atol=1e-12)
 
@@ -122,7 +123,31 @@ class TestEarlyStop:
         model = fit_pls(X, Y, n_components=3)
         assert model.effective_components == 1
         assert model.requested_components == 3
+        assert model.stop_reason == "small-cross-product"
         assert_allclose(model.predict(X), Y, atol=1e-8)
+
+    def test_full_path_stops_as_requested(self):
+        X, Y = make_data(20)
+        assert fit_pls(X, Y, n_components=3).stop_reason == "requested"
+        assert fit_fpqr(X, Y, n_components=3, tau=0.3).stop_reason == "requested"
+
+    def test_vanishing_score_stops_a_direction_that_ignores_deflation(self):
+        # The cross product stays large, so only the score's norm ends the path.
+        rng = np.random.default_rng(18)
+        t = rng.normal(size=25)
+        X = np.outer(t, [1.0, -2.0, 0.5])
+        model = fit_fpqr(X, t[:, None], n_components=3, metric=lambda Xa, Ya: np.ones((3, 1)))
+        assert (model.effective_components, model.stop_reason) == (1, "small-score")
+
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_path_prefix_has_the_refit_reason(self, h):
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(30, 2)) @ rng.normal(size=(2, 5))
+        Y = X @ rng.normal(size=(5, 1))
+        refit = fit_pls(X, Y, n_components=h)
+        prefix = component_path(X, Y, 3, "mean", *PLS_PARTS)(h)
+        assert prefix.effective_components == refit.effective_components == min(h, 2)
+        assert prefix.stop_reason == refit.stop_reason == ("requested" if h <= 2 else "small-cross-product")
 
 
 class TestCenteringModes:

@@ -10,6 +10,8 @@ from fpqr.exceptions import DiscordantSlopesWarning, LengthMismatch, ZeroVarianc
 
 from _oracles import li_cross_product
 
+# The scalar metrics name their one entry in a degenerate-entry warning.
+SCALAR_ENTRY = r"at entry \(0, 0\); value set to 0"
 # A pair whose two directional median-regression slopes disagree in sign.
 # Frozen from a short random search; the slopes are roughly -0.035 and +0.43.
 DISCORDANT_Z1 = np.array([0.1257, -0.1321, 0.6404, 0.1049, -0.5357, 0.3616, 1.304, 0.9471])
@@ -97,7 +99,7 @@ class TestQcovDodge:
         assert qcov_dodge(x, 3.0 * y, 0.4) == pytest.approx(3.0 * qcov_dodge(x, y, 0.4), abs=1e-8)
 
     def test_zero_variance_warns_and_returns_zero(self):
-        with pytest.warns(ZeroVarianceWarning):
+        with pytest.warns(ZeroVarianceWarning, match=SCALAR_ENTRY):
             value = qcov_dodge(np.full(5, 2.0), np.arange(5.0), 0.5)
         assert value == 0.0
 
@@ -130,15 +132,15 @@ class TestChoi:
         assert qcor_choi(x, y, 0.5) == pytest.approx(qcor_choi(y, x, 0.5), abs=1e-10)
 
     def test_discordant_slopes_warn_and_return_zero(self):
-        with pytest.warns(DiscordantSlopesWarning):
+        with pytest.warns(DiscordantSlopesWarning, match=SCALAR_ENTRY):
             c = qcor_choi(DISCORDANT_Z1, DISCORDANT_Z2, 0.5)
         assert c == 0.0
-        with pytest.warns(DiscordantSlopesWarning):
+        with pytest.warns(DiscordantSlopesWarning, match=SCALAR_ENTRY):
             v = qcov_choi(DISCORDANT_Z1, DISCORDANT_Z2, 0.5)
         assert v == 0.0
 
     def test_constant_input_warns_and_returns_zero(self):
-        with pytest.warns(ZeroVarianceWarning):
+        with pytest.warns(ZeroVarianceWarning, match=SCALAR_ENTRY):
             assert qcov_choi(np.full(6, 1.0), np.arange(6.0), 0.5) == 0.0
 
 

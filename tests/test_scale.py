@@ -136,7 +136,7 @@ def test_wide_regime(tag):
     assert full.effective_components == 3
     prefix, refit = path(2), r.fit(X, Y, 2)
     for name, value in vars(refit.decomposition).items():
-        assert getattr(prefix.decomposition, name).tobytes() == value.tobytes(), name
+        assert np.asarray(getattr(prefix.decomposition, name)).tobytes() == np.asarray(value).tobytes(), name
     assert prefix.coefficients.tobytes() == refit.coefficients.tobytes()
     T = full.decomposition.scores
     gram = T.T @ T
