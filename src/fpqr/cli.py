@@ -23,10 +23,7 @@ from .evaluate import (
 from .exceptions import (
     DataError,
     DimensionMismatch,
-    EmptyInput,
-    LengthMismatch,
     RankDeficient,
-    ShapeMismatch,
     SolverFailure,
 )
 from .fpqr import FPQR_METRICS
@@ -252,7 +249,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return int(args.func(args))
-    except (DataError, DimensionMismatch, ShapeMismatch, LengthMismatch, EmptyInput) as exc:
+    except (DataError, DimensionMismatch) as exc:
         return _fail(str(exc), EXIT_DATA)
     except (SolverFailure, RankDeficient, np.linalg.LinAlgError) as exc:
         return _fail(str(exc), EXIT_SOLVER)

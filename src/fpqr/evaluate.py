@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import InvalidSpec, ShapeMismatch
+from .exceptions import DimensionMismatch, InvalidSpec
 from .fpqr import FPQR_METRICS, fit_fpqr, quantile_parts
 from .linalg import as_matrix
 from .pls import PLS_PARTS, as_count, component_cap, component_path, fit_pls, resolve_components
@@ -34,7 +34,7 @@ def _as_2d(a, name):
 def _same_shape(a, b, names, what):
     A, B = _as_2d(a, names[0]), _as_2d(b, names[1])
     if A.shape != B.shape:
-        raise ShapeMismatch(f"{what} shapes differ: {A.shape} vs {B.shape}")
+        raise DimensionMismatch(f"{what} shapes differ: {A.shape} vs {B.shape}")
     return A, B
 
 
@@ -148,7 +148,7 @@ def cross_validate(X, Y, candidates, folds=5, fitter=None, seed=0):
     X = as_matrix(X, "X")
     Y = _as_2d(Y, "Y")
     if X.shape[0] != Y.shape[0]:
-        raise ShapeMismatch(f"X has {X.shape[0]} rows, Y has {Y.shape[0]}")
+        raise DimensionMismatch(f"X has {X.shape[0]} rows, Y has {Y.shape[0]}")
     if fitter is None:
         raise ValueError("fitter is required: a ModelRecipe or a callable (X, Y, h) -> model")
     folds = as_count(folds, "folds")
@@ -243,6 +243,11 @@ class SimulationSpec:
         allowed = SCHEMES[self.scheme][4]
         if self.error_law not in allowed:
             raise InvalidSpec(f"scheme {self.scheme} supports error laws {allowed}, got {self.error_law!r}")
+        for name in ("test_size", "repetitions", "seed"):
+            try:
+                object.__setattr__(self, name, as_count(getattr(self, name), name))
+            except ValueError as exc:
+                raise InvalidSpec(str(exc)) from None
         if self.test_size < 1:
             raise InvalidSpec("test_size must be positive")
         if self.repetitions < 1:
@@ -256,8 +261,8 @@ def make_simulation_spec(scheme, error_law=None, repetitions=100, seed=0, test_s
     if scheme in SCHEMES:  # any other scheme reaches SimulationSpec as given, which rejects it
         *_, laws, default_test_size = SCHEMES[scheme]
         error_law = laws[0] if error_law is None else error_law
-        test_size = default_test_size if test_size is None else int(test_size)
-    return SimulationSpec(scheme, error_law, test_size, int(repetitions), int(seed))
+        test_size = default_test_size if test_size is None else test_size
+    return SimulationSpec(scheme, error_law, test_size, repetitions, seed)
 
 
 def _stream(spec, repetition, role):
@@ -287,7 +292,7 @@ def generate_simulation(spec, repetition):
     -------
     (X_train, Y_train, X_test, Y_test, B_true)
     """
-    repetition = int(repetition)
+    repetition = as_count(repetition, "repetition")
     if repetition < 0:
         raise ValueError("repetition must be non-negative")
     n, m, l = spec.n_train, spec.n_features, spec.n_responses

@@ -1,10 +1,13 @@
 """Errors and warnings shared across the package."""
 
 __all__ = [
-    "AllZeroCrossProduct", "DataError", "DegenerateDesignWarning", "DimensionMismatch",
-    "DiscordantSlopesWarning", "EmptyInput", "IllConditionedWarning", "InvalidSpec", "LengthMismatch",
-    "ModelFormatError", "RankDeficient", "ShapeMismatch", "SolverFailure", "ZeroVarianceWarning",
+    "AllZeroCrossProduct", "DataError", "DegenerateDesignWarning", "DimensionMismatch", "DiscordantSlopesWarning",
+    "IllConditionedWarning", "InvalidSpec", "ModelFormatError", "RankDeficient", "SolverFailure",
+    "ZeroVarianceWarning",
 ]
+
+import sys
+import warnings
 
 
 class AllZeroCrossProduct(RuntimeError):
@@ -19,20 +22,8 @@ class SolverFailure(RuntimeError):
     """The quantile-regression simplex reached its pivot cap without an optimal vertex."""
 
 
-class LengthMismatch(ValueError):
-    """Paired vectors have different lengths."""
-
-
-class EmptyInput(ValueError):
-    """An operation received an empty vector or matrix."""
-
-
 class DimensionMismatch(ValueError):
-    """Matrix dimensions are incompatible with the fitted model or each other."""
-
-
-class ShapeMismatch(ValueError):
-    """Two arrays that must share a shape do not."""
+    """Arrays that must fit together (in length, rows, columns or shape) do not."""
 
 
 class InvalidSpec(ValueError):
@@ -61,3 +52,11 @@ class DiscordantSlopesWarning(UserWarning):
 
 class IllConditionedWarning(UserWarning):
     """A loading/weight system is close to singular; coefficients may be unstable."""
+
+
+def warn(message, category):
+    """``warnings.warn`` naming the first line outside this package, however deep the call."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == __package__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)

@@ -38,7 +38,7 @@ def quantile_parts(tau=0.5, metric="li", least_squares_gamma=False):
         gamma = np.zeros((scores.shape[1], Yc.shape[1]))
         intercepts = np.zeros(Yc.shape[1])
         for k in range(Yc.shape[1]):
-            fit = fit_quantile_regression(scores, Yc[:, k], tau, with_intercept=True)
+            fit = fit_quantile_regression(scores, Yc[:, k], tau)
             gamma[:, k] = fit.coefficients
             intercepts[k] = fit.intercept
         return gamma, intercepts

@@ -17,8 +17,8 @@ import warnings
 import numpy as np
 
 from .exceptions import DataError, IllConditionedWarning, ModelFormatError, RankDeficient
-from .linalg import CENTERING_MODES, CenteringInfo
-from .pls import FittedModel, LatentDecomposition, back_project
+from .linalg import CENTERING_MODES
+from .pls import FittedModel, LatentDecomposition
 from .qcov import METRIC_KINDS
 from .quantreg import validate_tau
 
@@ -161,7 +161,7 @@ def save_model(model, path, x_columns, y_columns):
             "metric": model.metric,
             "tau": model.tau,
             "requested_components": model.requested_components,
-            "center": model.x_centering.mode,
+            "center": model.center,
             "x_columns": list(x_columns),
             "y_columns": list(y_columns),
         },
@@ -171,8 +171,8 @@ def save_model(model, path, x_columns, y_columns):
             "y_loadings": model.decomposition.y_loadings.tolist(),
             "gamma": model.gamma.tolist(),
             "intercepts": model.intercepts.tolist(),
-            "x_centers": model.x_centering.column_centers.tolist(),
-            "y_centers": model.y_centering.column_centers.tolist(),
+            "x_centers": model.x_centers.tolist(),
+            "y_centers": model.y_centers.tolist(),
         },
     }
     with open(path, "w", encoding="utf-8") as handle:
@@ -200,10 +200,10 @@ def load_model(path):
     """Load a model written by :func:`save_model`.
 
     Returns ``(model, metadata)``. Any version other than
-    ``MODEL_FORMAT_VERSION`` is rejected. The coefficients are rebuilt from
-    the stored weights, x-loadings and inner coefficients by
-    :func:`~fpqr.pls.back_project`, as the fit built them; a ``coefficients``
-    field in the payload is ignored.
+    ``MODEL_FORMAT_VERSION`` is rejected. :class:`~fpqr.pls.FittedModel`
+    rebuilds the coefficients from the stored weights, x-loadings and inner
+    coefficients, as the fit built them; a ``coefficients`` field in the
+    payload is ignored.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -264,18 +264,7 @@ def load_model(path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
         try:
-            coefficients = back_project(decomposition, gamma, m, l)
+            model = FittedModel(decomposition, gamma, intercepts, x_centers, y_centers, center, metric, tau, requested)
         except RankDeficient as exc:
             raise ModelFormatError(f"{path}: model payload loadings and weights are singular: {exc}") from None
-    model = FittedModel(
-        decomposition=decomposition,
-        gamma=gamma,
-        intercepts=intercepts,
-        coefficients=coefficients,
-        x_centering=CenteringInfo(x_centers, center),
-        y_centering=CenteringInfo(y_centers, center),
-        metric=metric,
-        tau=tau,
-        requested_components=requested,
-    )
     return model, metadata

@@ -1,9 +1,7 @@
 """Dense-matrix building blocks: validation, column centering, the leading left
 singular direction of a cross-product matrix, and small least-squares solves."""
 
-__all__ = ["CenteringInfo", "as_matrix", "center_columns", "leading_left_singular_vector", "least_squares"]
-
-from dataclasses import dataclass
+__all__ = ["as_matrix", "center_columns", "leading_left_singular_vector", "least_squares"]
 
 import numpy as np
 
@@ -37,27 +35,19 @@ def column_centers(M):
     return np.where(constant_columns(M), M[0], M.mean(axis=0))
 
 
-@dataclass(frozen=True)
-class CenteringInfo:
-    """Per-column offsets removed from a matrix, plus the mode that produced them."""
-
-    column_centers: np.ndarray
-    mode: str
-
-
 def center_columns(M, mode="mean"):
     """Shift each column of ``M`` by its center.
 
-    Returns the shifted matrix and a :class:`CenteringInfo` (centers from
-    :func:`column_centers`). With ``mode="none"`` the matrix is copied unchanged
-    and the recorded centers are all zero, so downstream arithmetic needs no special casing.
+    Returns ``(centered, centers)``, the centers from :func:`column_centers`.
+    With ``mode="none"`` the matrix is copied unchanged and the centers are
+    all zero, so downstream arithmetic needs no special casing.
     """
     M = as_matrix(M, "M")
     if mode == "mean":
         centers = column_centers(M)
-        return M - centers, CenteringInfo(centers, "mean")
+        return M - centers, centers
     if mode == "none":
-        return M.copy(), CenteringInfo(np.zeros(M.shape[1]), "none")
+        return M.copy(), np.zeros(M.shape[1])
     raise ValueError(f"unknown centering mode {mode!r}; expected one of {CENTERING_MODES}")
 
 

@@ -11,17 +11,16 @@ differ only in the two functions they hand the core: the mean-based fit
 quantile fit swaps in a quantile dependence metric and quantile regression.
 """
 
-__all__ = ["FittedModel", "LatentDecomposition", "fit_pls", "predict"]
+__all__ = ["FittedModel", "LatentDecomposition", "fit_pls"]
 
 import operator
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, IllConditionedWarning, RankDeficient
-from .linalg import CenteringInfo, as_matrix, center_columns, leading_left_singular_vector, least_squares
+from .exceptions import DimensionMismatch, IllConditionedWarning, RankDeficient, warn
+from .linalg import as_matrix, center_columns, leading_left_singular_vector, least_squares
 
 _STOP_RTOL = 1e-12  # relative to the fit's own first round; see extract_components
 _RCOND_WARN = 1e-12
@@ -60,20 +59,27 @@ class LatentDecomposition:
 class FittedModel:
     """A fitted latent-component regression ready for prediction.
 
-    ``coefficients`` maps centered predictors to centered responses;
+    ``coefficients``, built from the decomposition and ``gamma`` by
+    :func:`back_project`, maps centered predictors to centered responses;
     ``intercepts`` holds the quantile-regression intercepts (all zero for the
     mean-based fit, where the response centers play that role).
+    ``x_centers`` and ``y_centers`` are the column offsets that the
+    ``center`` mode removed (all zero for ``"none"``).
     """
 
     decomposition: LatentDecomposition
     gamma: np.ndarray
     intercepts: np.ndarray
-    coefficients: np.ndarray
-    x_centering: CenteringInfo
-    y_centering: CenteringInfo
+    x_centers: np.ndarray
+    y_centers: np.ndarray
+    center: str
     metric: Optional[str]
     tau: Optional[float]
     requested_components: int
+    coefficients: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.coefficients = back_project(self.decomposition, self.gamma)
 
     @property
     def effective_components(self):
@@ -108,8 +114,8 @@ class FittedModel:
             raise DimensionMismatch(
                 f"expected {self.n_features} predictor columns, found {X.shape[1]}"
             )
-        centered = X - self.x_centering.column_centers
-        return centered @ self.coefficients + self.intercepts + self.y_centering.column_centers
+        centered = X - self.x_centers
+        return centered @ self.coefficients + self.intercepts + self.y_centers
 
 
 def as_count(value, name):
@@ -179,22 +185,19 @@ def extract_components(X0, Y0, n_components, cross_product):
     return LatentDecomposition(stack(ws, m), stack(ps, m), stack(qs, l), stack(ts, n), reason)
 
 
-def back_project(decomposition, gamma, n_features, n_responses):
+def back_project(decomposition, gamma):
     """Map inner coefficients on the scores back to predictor space.
 
-    Solves ``(P.T @ W) R = gamma`` and returns ``W @ R``. A condition number
-    above 1e12 is reported but not fatal.
+    Solves ``(P.T @ W) R = gamma`` and returns ``W @ R``; with no components
+    that is ``W @ gamma``, the zero matrix. A condition number above 1e12 is
+    reported but not fatal.
     """
     if decomposition.n_components == 0:
-        return np.zeros((n_features, n_responses))
+        return decomposition.weights @ gamma
     M = decomposition.x_loadings.T @ decomposition.weights
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > 1.0 / _RCOND_WARN:
-        warnings.warn(
-            "loading/weight system is ill conditioned; coefficients may be unstable",
-            IllConditionedWarning,
-            stacklevel=5,
-        )
+        warn("loading/weight system is ill conditioned; coefficients may be unstable", IllConditionedWarning)
     try:
         R = np.linalg.solve(M, gamma)
     except np.linalg.LinAlgError as exc:
@@ -226,10 +229,9 @@ def component_path(X, Y, n_components, center, cross_product, inner, metric=None
     if X.shape[0] != Y.shape[0]:
         raise DimensionMismatch(f"X has {X.shape[0]} rows, Y has {Y.shape[0]}")
     n, m = X.shape
-    l = Y.shape[1]
     extracted = resolve_components(n_components, n, m)
-    Xc, x_info = center_columns(X, center)
-    Yc, y_info = center_columns(Y, center)
+    Xc, x_centers = center_columns(X, center)
+    Yc, y_centers = center_columns(Y, center)
     path = extract_components(Xc, Yc, extracted, cross_product)
 
     def finish(h):
@@ -240,17 +242,7 @@ def component_path(X, Y, n_components, center, cross_product, inner, metric=None
         reason = path.stop_reason if path.n_components < h else "requested"
         prefix = LatentDecomposition(*(np.ascontiguousarray(a[:, :h]) for a in arrays), reason)
         gamma, intercepts = inner(prefix.scores, Yc)
-        return FittedModel(
-            decomposition=prefix,
-            gamma=gamma,
-            intercepts=intercepts,
-            coefficients=back_project(prefix, gamma, m, l),
-            x_centering=x_info,
-            y_centering=y_info,
-            metric=metric,
-            tau=tau,
-            requested_components=h,
-        )
+        return FittedModel(prefix, gamma, intercepts, x_centers, y_centers, center, metric, tau, h)
 
     return finish
 
@@ -273,8 +265,3 @@ def fit_pls(X, Y, n_components=None, center="mean"):
         ordinary least-squares problem on the (orthogonal) scores.
     """
     return component_path(X, Y, n_components, center, *PLS_PARTS)(n_components)
-
-
-def predict(model, X):
-    """Convenience wrapper around :meth:`FittedModel.predict`."""
-    return model.predict(X)

@@ -17,7 +17,6 @@ the check loss's slope, not one quantile regression per pair.
 
 __all__ = ["QcovMetric", "qcor_choi", "qcov_choi", "qcov_dodge", "qcov_li", "qcov_matrix"]
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +24,8 @@ import numpy as np
 from .exceptions import (
     DimensionMismatch,
     DiscordantSlopesWarning,
-    LengthMismatch,
     ZeroVarianceWarning,
+    warn,
 )
 from .linalg import as_matrix, column_centers, constant_columns
 from .quantreg import _quantile_rank, empirical_quantile, psi, quantile_slopes, validate_tau
@@ -57,7 +56,7 @@ def _pair(z1, z2):
     a = np.asarray(z1, dtype=float).ravel()
     b = np.asarray(z2, dtype=float).ravel()
     if a.size != b.size:
-        raise LengthMismatch(f"z1 has length {a.size}, z2 has length {b.size}")
+        raise DimensionMismatch(f"z1 has length {a.size}, z2 has length {b.size}")
     if a.size < 2:
         raise ValueError("need at least 2 paired observations")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -105,7 +104,7 @@ def _slope_values(kind, X, Y, tau, correlation=False):
             message, category = "first argument has zero variance", ZeroVarianceWarning
         else:
             message, category = "an argument has zero variance", ZeroVarianceWarning
-        warnings.warn(f"{message} at entry ({jx[i]}, {jy[i]}); value set to 0", category, stacklevel=3)
+        warn(f"{message} at entry ({jx[i]}, {jy[i]}); value set to 0", category)
     values[zero | discordant] = 0.0
     return values
 

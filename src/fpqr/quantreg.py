@@ -12,9 +12,9 @@ import numpy as np
 
 from .exceptions import (
     DegenerateDesignWarning,
-    EmptyInput,
-    LengthMismatch,
+    DimensionMismatch,
     SolverFailure,
+    warn,
 )
 
 # Most values :func:`quantile_slopes` holds at once: all pairwise slopes of
@@ -71,7 +71,7 @@ def empirical_quantile(v, tau):
     tau = validate_tau(tau)
     v = np.asarray(v, dtype=float).ravel()
     if v.size == 0:
-        raise EmptyInput("cannot take a quantile of an empty vector")
+        raise ValueError("cannot take a quantile of an empty vector")
     if not np.isfinite(v).all():
         raise ValueError("v contains non-finite entries")
     return float(np.sort(v)[_quantile_rank(v.size, tau) - 1])
@@ -98,7 +98,8 @@ class QrFit:
 
 
 def _solve_lp(D, y, tau):
-    # Simplex on the dual (see fit_quantile_regression's Notes). A vertex
+    # Simplex on the dual (see fit_quantile_regression's Notes) for any design
+    # D; an intercept is one of its columns, first if it must never drop. A vertex
     # interpolates the k basis rows; every other row's a sits at the bound its
     # residual's sign gives, and D.T @ a = 0 fixes a_B = -D_B^-T D_N^T a_N.
     # A basis row whose a_B is outside the box leaves, and one ratio test
@@ -180,21 +181,17 @@ def _solve_lp(D, y, tau):
     return params, pivots, keep
 
 
-def fit_quantile_regression(X, y, tau, with_intercept=True):
+def fit_quantile_regression(X, y, tau):
     """Minimize the mean check loss of ``y - X @ coef - intercept``.
 
     Parameters
     ----------
-    X : array, shape (n, p) or None
-        Predictor columns. ``None`` or a zero-column array fits an
-        intercept-only model.
+    X : array, shape (n, p)
+        Predictor columns. A zero-column array fits an intercept-only model.
     y : array, shape (n,)
         Response vector.
     tau : float
         Quantile level, strictly between 0 and 1.
-    with_intercept : bool
-        Fit a free intercept (the default). When False the line is forced
-        through the origin.
 
     Returns
     -------
@@ -204,8 +201,8 @@ def fit_quantile_regression(X, y, tau, with_intercept=True):
     -----
     The fit solves the dual of the check-loss program (Koenker & Bassett
     1978), maximize ``y @ a`` subject to ``D.T @ a = 0`` and
-    ``tau - 1 <= a <= tau`` (``D`` stacks the predictors and the intercept
-    column), by an exact simplex after Barrodale & Roberts (1974) on an
+    ``tau - 1 <= a <= tau`` (``D`` stacks the intercept column and the
+    predictors), by an exact simplex after Barrodale & Roberts (1974) on an
     orthonormal basis of ``D``'s columns, from a vertex that eight rounds of
     iteratively reweighted least squares (Schlossmacher 1973) put near the
     optimum. It stops on an LP certificate: the duals of the k rows its vertex
@@ -224,33 +221,29 @@ def fit_quantile_regression(X, y, tau, with_intercept=True):
     tau = validate_tau(tau)
     y = np.asarray(y, dtype=float).ravel()
     if y.size == 0:
-        raise EmptyInput("y is empty")
+        raise ValueError("y is empty")
     if not np.isfinite(y).all():
         raise ValueError("y contains non-finite entries")
-    if X is None:
-        X = np.empty((y.size, 0))
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     if X.ndim != 2:
         raise ValueError(f"X must be 2-d, got {X.ndim}-d")
     if X.shape[0] != y.size:
-        raise LengthMismatch(f"X has {X.shape[0]} rows, y has {y.size}")
+        raise DimensionMismatch(f"X has {X.shape[0]} rows, y has {y.size}")
     if X.size and not np.isfinite(X).all():
         raise ValueError("X contains non-finite entries")
     n, p = X.shape
-    lead = int(with_intercept)  # the intercept column, first in the design
-    n_params = p + lead
-    if n < n_params:
-        raise ValueError(f"need at least {n_params} observations for {n_params} parameters, got {n}")
+    if n < p + 1:
+        raise ValueError(f"need at least {p + 1} observations for {p + 1} parameters, got {n}")
 
-    params, iterations, kept = _solve_lp(np.hstack([np.ones((n, lead)), X]), y, tau)
-    dropped = np.flatnonzero(~kept[lead:]).tolist()
+    params, iterations, kept = _solve_lp(np.hstack([np.ones((n, 1)), X]), y, tau)
+    dropped = np.flatnonzero(~kept[1:]).tolist()
     if dropped:
         message = f"predictor column(s) {dropped} depend on earlier columns and were dropped; their coefficients are 0"
-        warnings.warn(message, DegenerateDesignWarning, stacklevel=2)
-    coefficients = params[lead:]
-    intercept = float(params[0]) if with_intercept else 0.0
+        warn(message, DegenerateDesignWarning)
+    coefficients = params[1:]
+    intercept = float(params[0])
 
     residuals = y - X @ coefficients - intercept
     objective = float(np.mean(check_loss(residuals, tau)))

@@ -17,7 +17,7 @@ from fpqr import (
     run_study,
 )
 from fpqr import test_mse as mse_metric
-from fpqr.exceptions import InvalidSpec, ShapeMismatch
+from fpqr.exceptions import DimensionMismatch, InvalidSpec
 
 
 class TestMetrics:
@@ -54,7 +54,7 @@ class TestMetrics:
 
     @pytest.mark.parametrize("fn", [beta_distance, mse_metric])
     def test_shape_mismatch(self, fn):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DimensionMismatch):
             fn(np.ones((2, 2)), np.ones((3, 2)))
 
 
@@ -348,6 +348,14 @@ class TestSimulationSpec:
         with pytest.raises(InvalidSpec, match=message):
             make_simulation_spec("sim1", **kwargs)
 
+    @pytest.mark.parametrize("field, value", [("test_size", 5.9), ("repetitions", 2.7), ("seed", True)])
+    def test_counts_reject_floats_and_bools(self, field, value):
+        with pytest.raises(InvalidSpec, match=f"{field} must be an integer, got {value}"):
+            make_simulation_spec("sim3-low", "t1", **{field: value})
+        counts = {"test_size": 100, "repetitions": 2, "seed": 0, field: value}
+        with pytest.raises(InvalidSpec, match=f"{field} must be an integer"):
+            SimulationSpec("sim3-low", "t1", **counts)
+
     def test_direct_spec_validates_scheme(self):
         with pytest.raises(InvalidSpec, match="unknown scheme 'sim4'"):
             SimulationSpec("sim4", "normal", 100, 1, 0)
@@ -407,6 +415,11 @@ class TestGenerateSimulation:
         spec = make_simulation_spec("sim3-low", error_law="normal", repetitions=1)
         with pytest.raises(ValueError, match="repetition must be non-negative"):
             generate_simulation(spec, -1)
+
+    def test_fractional_repetition_rejected(self):
+        spec = make_simulation_spec("sim3-low", error_law="normal", repetitions=2)
+        with pytest.raises(ValueError, match="repetition must be an integer, got 1.5"):
+            generate_simulation(spec, 1.5)
 
     def test_slash_noise_has_heavy_tails(self):
         spec = make_simulation_spec("sim3-low", error_law="slash", repetitions=1, seed=5)

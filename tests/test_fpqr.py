@@ -1,11 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fpqr import QcovMetric, empirical_quantile, fit_fpqr, fit_pls, predict_quantile, quantreg
-from fpqr.evaluate import generate_simulation, make_simulation_spec
+from fpqr import QcovMetric, empirical_quantile, fit_fpqr, fit_pls, fit_quantile_regression, predict_quantile, quantreg
+from fpqr.evaluate import ModelRecipe, cross_validate, generate_simulation, make_simulation_spec, parse_recipe
 from fpqr.exceptions import DimensionMismatch
 
 from _oracles import check_loss_mean, local_minimum_certificate
@@ -200,6 +202,28 @@ class TestDegenerateInputs:
     def test_row_mismatch(self):
         with pytest.raises(DimensionMismatch):
             fit_fpqr(np.ones((4, 2)), np.ones((5, 1)))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda X, Y: fit_quantile_regression(X, Y[:, 0], 0.5),
+            lambda X, Y: fit_fpqr(X, Y, 2, metric="dodge"),
+            lambda X, Y: ModelRecipe("dodge", "fpqr", "dodge", 0.5, center="none").fit(X, Y, 2),
+            lambda X, Y: cross_validate(X, Y, [1, 2], folds=2, fitter=parse_recipe("fpqr-dodge"), seed=0),
+        ],
+        ids=["direct", "fit", "recipe", "cv"],
+    )
+    def test_warnings_name_the_callers_line(self, call):
+        # A constant predictor column warns, however deep in the package.
+        rng = np.random.default_rng(24)
+        X = rng.normal(size=(30, 4))
+        X[:, 2] = 1.5
+        Y = X[:, :1] + rng.normal(size=(30, 1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(X, Y)
+        assert caught
+        assert {w.filename for w in caught} == {__file__}
 
 
 class TestPredictQuantile:

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from fpqr import QcovMetric, fit_quantile_regression, qcor_choi, qcov_choi, qcov_dodge, qcov_li, qcov_matrix
 from fpqr import quantreg
-from fpqr.exceptions import DiscordantSlopesWarning, LengthMismatch, ZeroVarianceWarning
+from fpqr.exceptions import DimensionMismatch, DiscordantSlopesWarning, ZeroVarianceWarning
 
 from _oracles import li_cross_product
 
@@ -74,7 +74,7 @@ class TestQcovLi:
         assert (values[:, 2] == 0.0).all() == (tau <= 0.75)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DimensionMismatch):
             qcov_li([1.0, 2.0], [1.0, 2.0, 3.0], 0.5)
 
     def test_too_short(self):
