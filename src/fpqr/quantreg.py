@@ -17,8 +17,11 @@ from .exceptions import (
     warn,
 )
 
-# Most values :func:`quantile_slopes` holds at once: all pairwise slopes of
-# a block of column pairs while one pair's fit in it, else rows times pairs.
+# Values per temporary array in :func:`quantile_slopes`. A listing block holds
+# the pairwise slopes of as many column pairs as fit, in three such arrays
+# alive at once (x differences, y differences, sorted slopes) beside the two
+# index arrays of one pair's listing. Past the listing, a block holds rows
+# times pairs values per array, with up to about ten such arrays alive.
 SLOPE_BLOCK_ENTRIES = 2**16
 # Flat-loss tolerance of the slope search, per unit of slope, as a fraction
 # of sum(|x - mean(x)|) (see :func:`quantile_slopes`).
@@ -250,15 +253,16 @@ def fit_quantile_regression(X, y, tau):
     return QrFit(coefficients=coefficients, intercept=intercept, objective=objective, iterations=iterations)
 
 
-def _right_rate(x, y, b, tau, k):
+def _right_rate(x, y, b, tau, k, y_size, x_size):
     # Right derivative of each row's profiled check loss at slope b, and the
     # point the profiled intercept follows just right of b. Just right of b
     # the residuals keep their order, except that residuals equal at b (up to
-    # a few units of rounding) order by decreasing x.
+    # a few units of rounding) order by decreasing x. y_size and x_size are
+    # each row's largest |y| and |x|, which set the rounding scale.
     e = y - b[:, None] * x
     rows = np.arange(x.shape[0])
     kth = np.partition(e, k - 1, axis=1)[:, k - 1 : k]
-    slack = _TIE_EPS * (np.abs(y).max(axis=1) + np.abs(b) * np.abs(x).max(axis=1))[:, None]
+    slack = _TIE_EPS * (y_size + np.abs(b) * x_size)[:, None]
     below = e < kth - slack
     tied = ~below & (e <= kth + slack)
     p = np.argmax(tied, axis=1)
@@ -300,8 +304,13 @@ def _listed_slopes(x, y, tau, k, i, j):
     # whose right derivative is not steep.
     rows = np.arange(x.shape[0])
     steep = _steep(x)
-    dx = x[:, i] - x[:, j]
-    points = np.sort(np.divide(y[:, i] - y[:, j], dx, out=np.full_like(dx, np.inf), where=dx != 0.0), axis=1)
+    sizes = np.abs(y).max(axis=1), np.abs(x).max(axis=1)
+    dx = np.take(x, i, axis=1)
+    dx -= np.take(x, j, axis=1)
+    dy = np.take(y, i, axis=1)
+    dy -= np.take(y, j, axis=1)
+    points = np.divide(dy, dx, out=np.full_like(dx, np.inf), where=dx != 0.0)
+    points.sort(axis=1)
     count = np.isfinite(points).sum(axis=1)
     points[count == 0, 0] = 0.0
     lo = np.zeros(rows.size, dtype=np.intp)
@@ -309,7 +318,7 @@ def _listed_slopes(x, y, tau, k, i, j):
     while (lo < hi).any():
         open_ = lo < hi
         mid = (lo + hi) // 2
-        falls = _right_rate(x, y, points[rows, mid], tau, k)[0] < steep
+        falls = _right_rate(x, y, points[rows, mid], tau, k, *sizes)[0] < steep
         lo = np.where(open_ & falls, mid + 1, lo)
         hi = np.where(open_ & ~falls, mid, hi)
     return points[rows, lo]
@@ -322,7 +331,8 @@ def _searched_slopes(x, y, tau, k):
     constant = np.isnan(low)
     low[constant] = high[constant] = 0.0
     steep = _steep(x)
-    rate, tracked = _right_rate(x, y, low, tau, k)
+    sizes = np.abs(y).max(axis=1), np.abs(x).max(axis=1)
+    rate, tracked = _right_rate(x, y, low, tau, k, *sizes)
     past_low = ~constant & (rate < steep)
 
     # Bisection on the right derivative, which never decreases: the answer
@@ -332,7 +342,7 @@ def _searched_slopes(x, y, tau, k):
     searching = past_low & (right - left > width)
     while searching.any():
         mid = 0.5 * (left + right)
-        rate, p = _right_rate(x, y, mid, tau, k)
+        rate, p = _right_rate(x, y, mid, tau, k, *sizes)
         falls = searching & (rate < steep)
         left = np.where(falls, mid, left)
         tracked = np.where(falls, p, tracked)
@@ -350,7 +360,7 @@ def _searched_slopes(x, y, tau, k):
         through = np.divide(dy, dx, out=np.full_like(dx, -np.inf), where=dx != 0.0)
         step = np.min(np.where(through > left[:, None], through, np.inf), axis=1)
         step = np.where(np.isfinite(step), step, high)
-        rate, p = _right_rate(x, y, step, tau, k)
+        rate, p = _right_rate(x, y, step, tau, k, *sizes)
         stop = walking & ((rate >= steep) | (step >= high))
         slopes = np.where(stop, step, slopes)
         walking &= ~stop

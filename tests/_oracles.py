@@ -3,7 +3,8 @@
 Nothing here shares code with the package internals: the leading direction
 comes from a full dense eigendecomposition, least squares from the normal
 equations, the li metric from one column and one row at a time, quantile regression from exhaustive vertex enumeration or from its
-primal linear program, the mean-based fit from a straight-line
+primal linear program, one-regressor quantile slopes from a list of every
+pairwise slope, the mean-based fit from a straight-line
 transcription of the classical recursion, and CSV files from ``csv`` and
 one ``float`` call per cell.
 """
@@ -121,6 +122,58 @@ def profiled_slope_objective(x, y, slope, tau):
     """
     r = np.asarray(y, dtype=float) - slope * np.asarray(x, dtype=float)
     return min(check_loss_mean(r - a, tau) for a in r)
+
+
+def listed_quantile_slopes(X, Y, tau, x_columns, y_columns):
+    """One-regressor tau-quantile slopes by listing every pairwise slope.
+
+    A naive transcription of the listed slope search, for any row count and
+    one column pair at a time: fancy-index differences, a copying sort, and
+    the tie scales recomputed at every bisection step. The constants are the
+    package's tie rule, written out: residuals within ``8 * eps`` of the data
+    scale are tied, and a loss falling by less than
+    ``1e-12 * sum(|x - mean(x)|)`` per unit of slope is flat.
+    """
+    n = X.shape[0]
+    k = min(max(int(np.ceil(n * tau - 1e-12)), 1), n)
+    tie_eps = 8 * np.finfo(float).eps
+    i, j = np.triu_indices(n, 1)
+
+    def right_rate(x, y, b):
+        e = y - b[:, None] * x
+        rows = np.arange(x.shape[0])
+        kth = np.partition(e, k - 1, axis=1)[:, k - 1 : k]
+        slack = tie_eps * (np.abs(y).max(axis=1) + np.abs(b) * np.abs(x).max(axis=1))[:, None]
+        below = e < kth - slack
+        tied = ~below & (e <= kth + slack)
+        p = np.argmax(tied, axis=1)
+        many = np.flatnonzero(tied.sum(axis=1) > 1)
+        if many.size:
+            order = np.argsort(np.where(tied[many], -x[many], np.inf), axis=1, kind="stable")
+            p[many] = order[np.arange(many.size), k - 1 - below[many].sum(axis=1)]
+        xp = x[rows, p][:, None]
+        below |= tied & (x > xp)
+        return ((x - xp) * (below - tau)).sum(axis=1)
+
+    slopes = []
+    for a, c in zip(x_columns, y_columns):
+        x, y = X[:, [a]].T.copy(), Y[:, [c]].T.copy()
+        rows = np.arange(1)
+        steep = -1e-12 * np.abs(x - x.mean(axis=1, keepdims=True)).sum(axis=1)
+        dx = x[:, i] - x[:, j]
+        points = np.sort(np.divide(y[:, i] - y[:, j], dx, out=np.full_like(dx, np.inf), where=dx != 0.0), axis=1)
+        count = np.isfinite(points).sum(axis=1)
+        points[count == 0, 0] = 0.0
+        lo = np.zeros(1, dtype=np.intp)
+        hi = np.maximum(count - 1, 0)
+        while (lo < hi).any():
+            open_ = lo < hi
+            mid = (lo + hi) // 2
+            falls = right_rate(x, y, points[rows, mid]) < steep
+            lo = np.where(open_ & falls, mid + 1, lo)
+            hi = np.where(open_ & ~falls, mid, hi)
+        slopes.append(points[0, lo[0]])
+    return np.array(slopes)
 
 
 def local_minimum_certificate(X, y, tau, coefficients, intercept, eps=1e-6, slack=1e-9, with_intercept=True):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from fpqr.exceptions import DegenerateDesignWarning, DimensionMismatch, SolverFa
 
 from _oracles import (
     check_loss_mean,
+    listed_quantile_slopes,
     local_minimum_certificate,
     primal_quantile_lp,
     profiled_slope_objective,
@@ -573,6 +576,40 @@ class TestQuantileSlopes:
             monkeypatch.setattr(quantreg, "SLOPE_BLOCK_ENTRIES", 1)
             assert_array_equal(paired_slopes(X[rows], Y[rows], tau), listed)
             monkeypatch.undo()
+
+    @pytest.mark.parametrize("one_pair_per_block", [False, True])
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [7, 100, 362, 363, 500])
+    def test_same_bits_as_the_fancy_index_listing(self, n, tau, one_pair_per_block, monkeypatch):
+        # Random, tied-integer and duplicated-x blocks, on both sides of the
+        # 362 rows past which nothing is listed. One pair per block lists at
+        # every n.
+        if one_pair_per_block:
+            monkeypatch.setattr(quantreg, "SLOPE_BLOCK_ENTRIES", n * (n - 1) // 2)
+        rng = np.random.default_rng(n + int(100 * tau))
+        X = rng.normal(size=(n, 9))
+        Y = X * rng.uniform(-1.0, 2.0, size=9) + rng.standard_t(2, size=(n, 9))
+        T, U = rng.integers(-3, 4, size=(2, n, 9)).astype(float)
+        D = np.repeat(X[: (n + 1) // 2], 2, axis=0)[:n]
+        columns = np.arange(9)
+        for A, B in ((X, Y), (Y, X), (T, U), (D, Y), (Y, D)):
+            want = listed_quantile_slopes(A, B, tau, columns, columns)
+            assert_array_equal(paired_slopes(A, B, tau), want)
+
+    def test_listing_memory_stays_within_four_block_arrays(self):
+        # A listing block keeps three arrays of SLOPE_BLOCK_ENTRIES doubles
+        # alive at once; with its index arrays and masks, 100 pairs at n = 100
+        # peaked at 3.35 arrays (1.76 MB), so 4 leaves about 19% headroom.
+        rng = np.random.default_rng(34)
+        X = rng.normal(size=(100, 100))
+        Y = X + rng.standard_t(2, size=(100, 100))
+        tracemalloc.start()
+        try:
+            paired_slopes(X, Y, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * quantreg.SLOPE_BLOCK_ENTRIES
 
     def test_pairs_index_the_columns(self):
         rng = np.random.default_rng(32)
