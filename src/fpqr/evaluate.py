@@ -64,13 +64,30 @@ def quantile_error(y_true, y_pred, tau):
 
 @dataclass(frozen=True)
 class ModelRecipe:
-    """A named, parameter-complete way to fit a model, used by studies and CV."""
+    """A named, parameter-complete way to fit a model, used by studies and CV.
+
+    ``method`` is ``"pls"`` (no metric, no level) or ``"fpqr"`` (a metric in
+    ``FPQR_METRICS``, a level in (0, 1)); anything else raises ``ValueError``.
+    """
 
     tag: str
     method: str
     metric: Optional[str] = None
     tau: Optional[float] = None
     center: str = "mean"
+
+    def __post_init__(self):
+        if self.method == "pls":
+            if self.metric is not None or self.tau is not None:
+                raise ValueError("the pls recipe takes no metric and no quantile level")
+        elif self.method != "fpqr":
+            raise ValueError(f"unknown recipe method {self.method!r}; expected 'pls' or 'fpqr'")
+        elif self.metric not in FPQR_METRICS:
+            raise ValueError(f"unknown recipe metric {self.metric!r}; expected one of {FPQR_METRICS}")
+        elif self.tau is None:
+            raise ValueError("an fpqr recipe needs a quantile level")
+        else:
+            object.__setattr__(self, "tau", validate_tau(self.tau))
 
     def fit(self, X, Y, n_components):
         if self.method == "pls":
@@ -87,19 +104,14 @@ def parse_recipe(text):
     """Parse ``"pls"`` or ``"fpqr-<metric>[@tau]"`` into a :class:`ModelRecipe`."""
     tag = str(text).strip()
     base, _, level = tag.partition("@")
+    if base != "pls" and not base.startswith("fpqr-"):
+        raise ValueError(f"unknown recipe {text!r}; expected 'pls' or 'fpqr-<li|dodge|choi>[@tau]'")
+    if level != level.strip():  # tags go unquoted into the study table
+        raise ValueError(f"quantile level {level!r} holds whitespace")
+    tau = float(level) if level else None
     if base == "pls":
-        if level:
-            raise ValueError("the pls recipe takes no quantile level")
-        return ModelRecipe(tag, "pls")
-    if base.startswith("fpqr-"):
-        kind = base[len("fpqr-"):]
-        if kind not in FPQR_METRICS:
-            raise ValueError(f"unknown recipe metric {kind!r}; expected one of {FPQR_METRICS}")
-        if level != level.strip():  # tags go unquoted into the study table
-            raise ValueError(f"quantile level {level!r} holds whitespace")
-        tau = validate_tau(level) if level else 0.5
-        return ModelRecipe(tag, "fpqr", kind, tau)
-    raise ValueError(f"unknown recipe {text!r}; expected 'pls' or 'fpqr-<li|dodge|choi>[@tau]'")
+        return ModelRecipe(tag, "pls", None, tau)
+    return ModelRecipe(tag, "fpqr", base[len("fpqr-"):], 0.5 if tau is None else tau)
 
 
 # ---------------------------------------------------------------------------

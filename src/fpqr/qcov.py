@@ -10,9 +10,10 @@ Three quantile metrics are provided next to the classical covariance:
   values (and the matching correlation).
 
 All variance and covariance style quantities are normalized by ``n``. The
-slopes behind ``dodge`` and ``choi`` come from one batched call to
-:func:`~fpqr.quantreg.quantile_slopes` per direction, an exact search along
-the check loss's slope, not one quantile regression per pair.
+slopes behind ``dodge`` and ``choi`` come from one call to
+:func:`~fpqr.quantreg.quantile_slopes` per direction: an exact batched
+listing of pairwise slopes up to 362 rows, one quantile regression per pair
+beyond.
 """
 
 __all__ = ["QcovMetric", "qcor_choi", "qcov_choi", "qcov_dodge", "qcov_li", "qcov_matrix"]
@@ -144,9 +145,10 @@ def qcov_matrix(X, Y, metric):
     -----
     The ``li`` kind is computed in one pass of matrix algebra. ``dodge`` and
     ``choi`` take the quantile slopes of every column pair (both directions
-    for ``choi``) from one batched :func:`~fpqr.quantreg.quantile_slopes`
-    call per direction, with no linear program. Degenerate entries are
-    reported with their ``(j, k)`` coordinates and set to 0.
+    for ``choi``) from one :func:`~fpqr.quantreg.quantile_slopes` call per
+    direction: a listing with no linear program up to 362 rows, one simplex
+    solve per pair beyond; each is the smallest optimal slope. Degenerate
+    entries are reported with their ``(j, k)`` coordinates and set to 0.
     """
     if not isinstance(metric, QcovMetric):
         raise TypeError(f"metric must be a QcovMetric, got {type(metric).__name__}")

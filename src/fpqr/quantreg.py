@@ -1,11 +1,11 @@
 """Linear quantile regression for a single response, solved as the dual of
-the check-loss linear program by an exact bound-flipping simplex; an exact
-batched search for one-regressor quantile slopes; and the scalar pieces both
-are built from (check loss, its subgradient weight, empirical quantiles)."""
+the check-loss linear program by an exact bound-flipping simplex; exact
+one-regressor quantile slopes, listed and batched up to 362 rows and from
+that simplex beyond; and the scalar pieces both are built from (check loss,
+its subgradient weight, empirical quantiles)."""
 
 __all__ = ["QrFit", "check_loss", "empirical_quantile", "fit_quantile_regression", "psi", "validate_tau"]
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,15 +20,12 @@ from .exceptions import (
 # Values per temporary array in :func:`quantile_slopes`. A listing block holds
 # the pairwise slopes of as many column pairs as fit, in three such arrays
 # alive at once (x differences, y differences, sorted slopes) beside the two
-# index arrays of one pair's listing. Past the listing, a block holds rows
-# times pairs values per array, with up to about ten such arrays alive.
+# index arrays of one pair's listing.
 SLOPE_BLOCK_ENTRIES = 2**16
-# Flat-loss tolerance of the slope search, per unit of slope, as a fraction
-# of sum(|x - mean(x)|) (see :func:`quantile_slopes`).
+# A change below this fraction of its scale counts as none: the loss's fall
+# per unit of slope in the slope listing, of sum(|x - mean(x)|); a parameter's
+# move along a flat edge of the simplex, of its rounding scale.
 _FLAT_RTOL = 1e-12
-# The slope bisection hands over to a walk over breakpoints once its bracket
-# is this fraction of the largest slope magnitude.
-_BRACKET_RTOL = 2.0**-40
 # Residuals this many machine epsilons of the data scale apart count as tied.
 _TIE_EPS = 8 * np.finfo(float).eps
 # Pivots the inner simplex may take, per row and parameter, before it gives up.
@@ -156,21 +153,39 @@ def _solve_lp(D, y, tau):
         size = np.abs(inverse)
         excess = np.abs(minus_dual + (tau - 0.5)) - 0.5
         over = excess - dual_slack @ size
-        if not (over > 0.0).any():
-            break
+        walk = not (over > 0.0).any()
+        if walk:
+            # Optimal. A basis dual on its bound opens a flat edge; walk one whose
+            # parameter move (intercept last) has its first entry beyond rounding
+            # below 0, so the fit ends on the lexicographically smallest optimum.
+            flat = np.flatnonzero(excess >= -dual_slack @ size)
+            if not flat.size:
+                break
+            r_inverse = np.roll(np.linalg.inv(r), -1, axis=0)
+            move = r_inverse @ (inverse[:, flat] * np.sign(minus_dual[flat] + (tau - 0.5)))
+            noise = _FLAT_RTOL * np.outer(np.abs(r_inverse).sum(axis=1), size[:, flat].max(axis=0))
+            lowers = move[(np.abs(move) > noise).argmax(axis=0), np.arange(flat.size)] < 0.0
+            if not lowers.any():
+                break
+            j = flat[lowers.argmax()]
+        else:
+            j = over.argmax()
         if pivots == cap:
             raise SolverFailure(f"quantile-regression simplex found no optimal vertex in {cap} pivots")
-        j = over.argmax()
-        up = minus_dual[j] < -tau  # the leaving row's residual turns positive
+        up = minus_dual[j] < 0.5 - tau  # the leaving row's residual turns positive
         z = q @ (-inverse[:, j] if up else inverse[:, j])  # residuals fall by t * z
-        rows = np.flatnonzero(a * z > tie_q @ size[:, j])  # falling to 0 beyond rounding
+        # Falling to 0 beyond rounding. On a flat edge, beyond each row's scale in
+        # q: a row moved by rounding alone would enter and make the basis singular.
+        floor = tie_q.sum(axis=1) * size[:, j].max() if walk else tie_q @ size[:, j]
+        rows = np.flatnonzero(a * z > floor)
         slope = z[rows]
         pull = np.abs(slope)
         residual = (y - q @ (inverse @ y_basis))[rows]
         tie = (tie_y + tie_q @ (size @ np.abs(y_basis)))[rows]
         steps = np.where(residual * slope > tie * pull, residual / slope, 0.0)
         order = np.lexsort(((w - q @ (inverse @ w_basis))[rows] / slope, steps))
-        m = np.cumsum(pull[order]).searchsorted(excess[j])  # first row past which the slope is >= 0
+        # First row past which the slope is >= 0; a flat edge stops at its first.
+        m = 0 if walk else np.cumsum(pull[order]).searchsorted(excess[j])
         enter, passed = rows[order[m]], rows[order[:m]]
         a[passed] = (2.0 * tau - 1.0) - a[passed]  # tau <-> tau - 1
         a[basis[j]], a[enter] = (tau if up else tau - 1.0), 0.0
@@ -211,9 +226,13 @@ def fit_quantile_regression(X, y, tau):
     optimum. It stops on an LP certificate: the duals of the k rows its vertex
     interpolates lie in the box. Residuals within 8 machine epsilons of the
     data scale count as zero and ties are broken lexicographically, so tied
-    data cannot cycle. The coefficients are one k-by-k solve on the
-    interpolated rows in ascending order. ``QrFit.iterations`` counts the
-    simplex's pivots, not the reweighting rounds; past ``50 * (n + k)``
+    data cannot cycle. Where the optimum is not unique (Koenker 2005), the
+    simplex walks flat edges of the optimal face while they lower the
+    coefficients in order, then the intercept: the fit is the
+    lexicographically smallest minimiser, whatever the row order. The
+    coefficients are one k-by-k solve on the interpolated rows in
+    ascending order. ``QrFit.iterations`` counts the simplex's pivots, flat
+    edges included, not the reweighting rounds; past ``50 * (n + k)``
     :class:`SolverFailure` is raised.
 
     The intercept column comes first, so it is never dropped. A predictor
@@ -254,11 +273,10 @@ def fit_quantile_regression(X, y, tau):
 
 
 def _right_rate(x, y, b, tau, k, y_size, x_size):
-    # Right derivative of each row's profiled check loss at slope b, and the
-    # point the profiled intercept follows just right of b. Just right of b
-    # the residuals keep their order, except that residuals equal at b (up to
-    # a few units of rounding) order by decreasing x. y_size and x_size are
-    # each row's largest |y| and |x|, which set the rounding scale.
+    # Right derivative of each row's profiled check loss at slope b. Just
+    # right of b the residuals keep their order, except that residuals equal
+    # at b (up to a few units of rounding) order by decreasing x. y_size and
+    # x_size are each row's largest |y| and |x|, which set the rounding scale.
     e = y - b[:, None] * x
     rows = np.arange(x.shape[0])
     kth = np.partition(e, k - 1, axis=1)[:, k - 1 : k]
@@ -272,38 +290,15 @@ def _right_rate(x, y, b, tau, k, y_size, x_size):
         p[many] = order[np.arange(many.size), k - 1 - below[many].sum(axis=1)]
     xp = x[rows, p][:, None]
     below |= tied & (x > xp)
-    return ((x - xp) * (below - tau)).sum(axis=1), p
-
-
-def _slope_range(x, y):
-    # Smallest and largest pairwise slope of each row (NaN for a constant x).
-    # Any pairwise slope is a weighted mean of slopes between neighbouring
-    # distinct x values, so both extremes are found there: the smallest pairs
-    # the largest y at one x with the smallest y at the next, and the largest
-    # the other way round.
-    ends = []
-    for key in (y, -y):
-        order = np.lexsort((key, x))
-        xs = np.take_along_axis(x, order, axis=1)
-        ys = np.take_along_axis(y, order, axis=1)
-        dx = np.diff(xs, axis=1)
-        ends.append(np.divide(np.diff(ys, axis=1), dx, out=np.full_like(dx, np.nan), where=dx > 0.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN rows
-        return np.nanmin(ends[0], axis=1), np.nanmax(ends[1], axis=1)
-
-
-def _steep(x):
-    # Right derivatives above this count as flat (see the tie rule).
-    return -_FLAT_RTOL * np.abs(x - x.mean(axis=1, keepdims=True)).sum(axis=1)
+    return ((x - xp) * (below - tau)).sum(axis=1)
 
 
 def _listed_slopes(x, y, tau, k, i, j):
     # x, y: one column pair per row; i, j: the row-index pairs i < j. Every
     # pairwise slope is listed and sorted, then bisected for the first one
-    # whose right derivative is not steep.
+    # whose right derivative is not steep (see the tie rule).
     rows = np.arange(x.shape[0])
-    steep = _steep(x)
+    steep = -_FLAT_RTOL * np.abs(x - x.mean(axis=1, keepdims=True)).sum(axis=1)
     sizes = np.abs(y).max(axis=1), np.abs(x).max(axis=1)
     dx = np.take(x, i, axis=1)
     dx -= np.take(x, j, axis=1)
@@ -318,55 +313,10 @@ def _listed_slopes(x, y, tau, k, i, j):
     while (lo < hi).any():
         open_ = lo < hi
         mid = (lo + hi) // 2
-        falls = _right_rate(x, y, points[rows, mid], tau, k, *sizes)[0] < steep
+        falls = _right_rate(x, y, points[rows, mid], tau, k, *sizes) < steep
         lo = np.where(open_ & falls, mid + 1, lo)
         hi = np.where(open_ & ~falls, mid, hi)
     return points[rows, lo]
-
-
-def _searched_slopes(x, y, tau, k):
-    # x, y: one column pair per row; nothing larger is built.
-    rows = np.arange(x.shape[0])
-    low, high = _slope_range(x, y)
-    constant = np.isnan(low)
-    low[constant] = high[constant] = 0.0
-    steep = _steep(x)
-    sizes = np.abs(y).max(axis=1), np.abs(x).max(axis=1)
-    rate, tracked = _right_rate(x, y, low, tau, k, *sizes)
-    past_low = ~constant & (rate < steep)
-
-    # Bisection on the right derivative, which never decreases: the answer
-    # stays in (left, right], and the loss falls steeply just right of left.
-    left, right = low.copy(), high.copy()
-    width = _BRACKET_RTOL * np.maximum(np.abs(low), np.abs(high))
-    searching = past_low & (right - left > width)
-    while searching.any():
-        mid = 0.5 * (left + right)
-        rate, p = _right_rate(x, y, mid, tau, k, *sizes)
-        falls = searching & (rate < steep)
-        left = np.where(falls, mid, left)
-        tracked = np.where(falls, p, tracked)
-        right = np.where(searching & ~falls, mid, right)
-        searching = past_low & (right - left > width)
-
-    # Walk right over breakpoints: from left the loss is linear up to the
-    # first pairwise slope through the tracked point, where the right
-    # derivative says whether to stop.
-    slopes = np.where(constant, 0.0, low)
-    walking = past_low
-    while walking.any():
-        dx = x - x[rows, tracked][:, None]
-        dy = y - y[rows, tracked][:, None]
-        through = np.divide(dy, dx, out=np.full_like(dx, -np.inf), where=dx != 0.0)
-        step = np.min(np.where(through > left[:, None], through, np.inf), axis=1)
-        step = np.where(np.isfinite(step), step, high)
-        rate, p = _right_rate(x, y, step, tau, k, *sizes)
-        stop = walking & ((rate >= steep) | (step >= high))
-        slopes = np.where(stop, step, slopes)
-        walking &= ~stop
-        left = np.where(walking, step, left)
-        tracked = np.where(walking, p, tracked)
-    return slopes
 
 
 def quantile_slopes(X, Y, tau, x_columns, y_columns):
@@ -374,55 +324,43 @@ def quantile_slopes(X, Y, tau, x_columns, y_columns):
     on ``X[:, x_columns[i]]`` for every ``i``.
 
     ``X`` and ``Y`` are finite arrays with one row count ``n >= 2``; callers
-    check that. Returns an array of ``len(x_columns)`` slopes.
+    check that. Returns an array of ``len(x_columns)`` slopes, each the
+    smallest minimiser of the check loss; a constant regressor has slope 0.
 
-    With the intercept profiled out at the lower empirical quantile of the
-    residuals (the :func:`empirical_quantile` rule), the check loss is convex
-    and piecewise linear in the slope, with breakpoints among the pairwise
-    slopes ``(y_i - y_j) / (x_i - x_j)`` over pairs with ``x_i != x_j``
-    (Koenker & Bassett 1978). Both searches below bisect on the loss's
-    right derivative, which costs one partition and one O(n) sum per step
-    and never decreases; all pairs of a block move in lockstep, and no
-    linear program is solved.
-
-    * While one pair's ``n * (n - 1) / 2`` pairwise slopes fit in
-      ``SLOPE_BLOCK_ENTRIES``, they are listed and sorted, and the bisection
-      runs over that list, in blocks of as many pairs as fit.
-    * Past that, nothing of size ``n**2`` is built: the bisection runs on
-      slope values between the smallest and the largest pairwise slope, then
-      walks right over the pairwise slopes through the point the profiled
-      intercept follows. Memory is O(n) per pair, in blocks of
-      ``SLOPE_BLOCK_ENTRIES // n`` pairs (at least one).
-
-    Both give the same slope. Residuals within a few units of rounding of
-    each other count as equal.
+    While one pair's ``n * (n - 1) / 2`` pairwise slopes fit in
+    ``SLOPE_BLOCK_ENTRIES`` (up to 362 rows), they are listed, in blocks of
+    as many pairs as fit. With the intercept profiled out at the lower
+    empirical quantile of the residuals (the :func:`empirical_quantile`
+    rule), the check loss is convex and piecewise linear in the slope, with
+    breakpoints among the pairwise slopes ``(y_i - y_j) / (x_i - x_j)`` over
+    pairs with ``x_i != x_j`` (Koenker & Bassett 1978). The sorted list is
+    bisected on the loss's right derivative, which never decreases and costs
+    one partition and one O(n) sum per step; all pairs of a block move in
+    lockstep. Residuals within a few units of rounding of each other count
+    as equal.
 
     Tie rule: a loss that falls by less than ``1e-12 * sum(|x - mean(x)|)``
-    per unit of slope counts as flat. The returned slope is the smallest
+    per unit of slope counts as flat. The listed slope is the smallest
     breakpoint past which the loss no longer falls by more than that, so a
     flat optimum (possible when ``n * tau`` is an integer or the data are
-    tied) yields its left end. A constant regressor has slope 0.
+    tied) yields its left end.
+
+    Past that, each pair is one solve of the simplex behind
+    :func:`fit_quantile_regression` on ``[1, x]``, in O(n) memory; it ends on
+    the smallest optimal slope too.
     """
     n = X.shape[0]
-    k = _quantile_rank(n, tau)
     x_columns = np.asarray(x_columns, dtype=np.intp)
     y_columns = np.asarray(y_columns, dtype=np.intp)
     listed = n * (n - 1) // 2
-    if listed <= SLOPE_BLOCK_ENTRIES:
-        i, j = np.triu_indices(n, 1)
-        block = SLOPE_BLOCK_ENTRIES // listed
-
-        def search(x, y):
-            return _listed_slopes(x, y, tau, k, i, j)
-
-    else:
-        block = max(1, SLOPE_BLOCK_ENTRIES // n)
-
-        def search(x, y):
-            return _searched_slopes(x, y, tau, k)
-
+    if listed > SLOPE_BLOCK_ENTRIES:
+        ones = np.ones(n)
+        return np.array([_solve_lp(np.column_stack([ones, X[:, a]]), Y[:, b].copy(), tau)[0][1] for a, b in zip(x_columns, y_columns)])
+    k = _quantile_rank(n, tau)
+    i, j = np.triu_indices(n, 1)
+    block = SLOPE_BLOCK_ENTRIES // listed
     slopes = np.empty(x_columns.size)
     for start in range(0, x_columns.size, block):
         part = slice(start, start + block)
-        slopes[part] = search(X[:, x_columns[part]].T.copy(), Y[:, y_columns[part]].T.copy())
+        slopes[part] = _listed_slopes(X[:, x_columns[part]].T.copy(), Y[:, y_columns[part]].T.copy(), tau, k, i, j)
     return slopes

@@ -2,8 +2,10 @@
 
 Nothing here shares code with the package internals: the leading direction
 comes from a full dense eigendecomposition, least squares from the normal
-equations, the li metric from one column and one row at a time, quantile regression from exhaustive vertex enumeration or from its
-primal linear program, one-regressor quantile slopes from a list of every
+equations, the li metric from one column and one row at a time, quantile
+regression from exhaustive vertex enumeration (its optimum, or the
+lexicographically smallest of its optimal vertices) or from its primal
+linear program, one-regressor quantile slopes from a list of every
 pairwise slope, the mean-based fit from a straight-line
 transcription of the classical recursion, and CSV files from ``csv`` and
 one ``float`` call per cell.
@@ -68,6 +70,33 @@ def qr_vertex_search(X, y, tau, with_intercept=True):
             best_obj = obj
             best_params = params
     return best_obj, best_params
+
+
+def lexicographic_quantile_optimum(X, y, tau, tol=1e-9):
+    """The smallest check-loss minimiser, ordered by coefficients then intercept.
+
+    The set of minimisers is a bounded face of the program's polyhedron, so
+    its lexicographically smallest point is one of its vertices. Every vertex
+    interpolates k rows; all are enumerated, those within ``tol`` of the
+    smallest loss are kept, and the coordinates are compared in turn, values
+    within ``tol`` counting as equal. Returns coefficients then intercept.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    D = np.hstack([X, np.ones((y.size, 1))])
+    vertices, losses = [], []
+    for rows in itertools.combinations(range(y.size), D.shape[1]):
+        idx = list(rows)
+        if abs(np.linalg.det(D[idx])) < 1e-9:
+            continue
+        params = np.linalg.solve(D[idx], y[idx])
+        vertices.append(params)
+        losses.append(check_loss_mean(y - D @ params, tau))
+    losses = np.array(losses)
+    optimal = np.array(vertices)[losses <= losses.min() + tol]
+    for c in range(D.shape[1]):
+        optimal = optimal[optimal[:, c] <= optimal[:, c].min() + tol]
+    return optimal[0]
 
 
 def primal_quantile_lp(D, y, tau):

@@ -77,6 +77,24 @@ class TestParseRecipe:
         with pytest.raises(ValueError):
             parse_recipe(bad)
 
+    def test_fpqr_recipe_without_a_level_rejected(self):
+        with pytest.raises(ValueError, match="quantile level"):
+            ModelRecipe("a", "fpqr", "li")
+
+    def test_pls_recipe_with_a_metric_and_level_rejected(self):
+        # It would fit pls while run_study scored its check loss at 0.3.
+        with pytest.raises(ValueError, match="no metric and no quantile level"):
+            ModelRecipe("b", "pls", "li", 0.3)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown recipe method 'PLS'"):
+            ModelRecipe("c", "PLS")
+
+    @pytest.mark.parametrize("metric, tau", [("kendall", 0.5), ("li", 1.5), (None, 0.5)])
+    def test_fpqr_recipe_with_a_bad_metric_or_level_rejected(self, metric, tau):
+        with pytest.raises(ValueError):
+            ModelRecipe("d", "fpqr", metric, tau)
+
     @pytest.mark.parametrize("bad", ["fpqr-li@\n0.5", "fpqr-li@ 0.5", "fpqr-li@\t0.25"])
     def test_rejects_whitespace_in_the_level(self, bad):
         # float() takes such a level, but the tag, line break included, would

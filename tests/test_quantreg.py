@@ -14,6 +14,7 @@ from fpqr.exceptions import DegenerateDesignWarning, DimensionMismatch, SolverFa
 
 from _oracles import (
     check_loss_mean,
+    lexicographic_quantile_optimum,
     listed_quantile_slopes,
     local_minimum_certificate,
     primal_quantile_lp,
@@ -274,15 +275,18 @@ class TestAgainstPrimalProgram:
         t = rng.normal(size=(60, 3))
         X = np.column_stack([t, t[:, 1]])
         y = t @ [1.0, -0.5, 2.0] + rng.standard_t(3, size=60)
-        assert_matches_primal(X, y, tau)
+        with pytest.warns(DegenerateDesignWarning, match=r"\[3\]"):
+            assert_matches_primal(X, y, tau)
 
     def test_dependent_column_ahead_of_an_independent_one(self):
         # x1 = 2 * x0 comes before the intercept column; only x1 may go.
         X = np.array([[1.0, 2.0], [-1.0, -2.0], [-1.0, -2.0]])
         y = np.array([-2.0, 0.0, 0.0])
-        fit = fit_quantile_regression(X, y, 0.01)
+        with pytest.warns(DegenerateDesignWarning, match=r"\[1\]"):
+            fit = fit_quantile_regression(X, y, 0.01)
         assert fit.objective == pytest.approx(0.0, abs=1e-15)  # x0 - 1 fits every row
-        assert_matches_primal(X, y, 0.01)
+        with pytest.warns(DegenerateDesignWarning, match=r"\[1\]"):
+            assert_matches_primal(X, y, 0.01)
 
     @pytest.mark.parametrize("with_intercept", [True, False])
     def test_as_many_rows_as_parameters(self, with_intercept):
@@ -507,6 +511,48 @@ def test_objective_invariant_to_row_order(seed, tau):
     assert permuted == pytest.approx(base, rel=1e-12, abs=1e-15)
 
 
+def test_flat_optimum_ends_on_the_lexicographically_smallest_vertex():
+    # Tied integer data often have a face of optimal vertices; the fit must
+    # be the smallest of them, coefficients first and the intercept last.
+    rng = np.random.default_rng(17)
+    checked = 0
+    while checked < 200:
+        p = int(rng.integers(1, 4))
+        n = int(rng.integers(p + 2, 13))
+        tau = float(rng.choice([0.25, 0.5, 0.75]))
+        X = rng.integers(-2, 3, size=(n, p)).astype(float)
+        y = rng.integers(-3, 4, size=n).astype(float)
+        if np.linalg.matrix_rank(np.column_stack([X, np.ones(n)])) <= p:
+            continue
+        fit = fit_quantile_regression(X, y, tau)
+        want = lexicographic_quantile_optimum(X, y, tau)
+        assert_allclose(np.append(fit.coefficients, fit.intercept), want, rtol=0, atol=1e-9, err_msg=f"design {checked}")
+        checked += 1
+
+
+@st.composite
+def permuted_tied_designs(draw):
+    # Rows of small integers, predictors then response, and a row order.
+    p = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-2, 2), min_size=p + 1, max_size=p + 1)
+    table = np.array(draw(st.lists(row, min_size=p + 2, max_size=40)), dtype=float)
+    return table[:, :p], table[:, p], np.array(draw(st.permutations(range(table.shape[0]))))
+
+
+@pytest.mark.filterwarnings("ignore::fpqr.exceptions.DegenerateDesignWarning")
+@settings(max_examples=150, derandomize=True)
+@given(permuted_tied_designs(), st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]))
+def test_coefficients_invariant_to_row_order_on_tied_data(design, tau):
+    # Where the optimum is not unique, the fit must still be fixed by the
+    # data alone, not by which row comes first.
+    X, y, order = design
+    base = fit_quantile_regression(X, y, tau)
+    permuted = fit_quantile_regression(X[order], y[order], tau)
+    base_params = np.append(base.coefficients, base.intercept)
+    permuted_params = np.append(permuted.coefficients, permuted.intercept)
+    assert_allclose(permuted_params, base_params, rtol=0, atol=1e-12 * max(np.abs(base_params).max(), 1.0))
+
+
 def paired_slopes(X, Y, tau):
     columns = np.arange(X.shape[1])
     return quantreg.quantile_slopes(X, Y, tau, columns, columns)
@@ -515,11 +561,13 @@ def paired_slopes(X, Y, tau):
 class TestQuantileSlopes:
     @pytest.mark.parametrize("tau", [0.1, 0.25, 0.5, 0.9])
     @pytest.mark.parametrize("n", [5, 8, 20, 60, 100, 400])
-    def test_matches_linear_program_on_random_data(self, n, tau):
-        # On continuous data the optimal slope is one vertex, so the search and
-        # the inner simplex return the same double, on both sides of the row
-        # count past which no pairwise slope is listed.
+    def test_matches_linear_program_on_random_data(self, n, tau, monkeypatch):
+        # On continuous data the optimal slope is one vertex, so the listing and
+        # the inner simplex return the same double. Past 362 rows, where no
+        # pairwise slope is listed by default, a larger block forces the
+        # listing, so it is still checked against the simplex there.
         assert (n * (n - 1) // 2 > quantreg.SLOPE_BLOCK_ENTRIES) == (n == 400)
+        monkeypatch.setattr(quantreg, "SLOPE_BLOCK_ENTRIES", max(quantreg.SLOPE_BLOCK_ENTRIES, n * (n - 1) // 2))
         rng = np.random.default_rng(n + int(100 * tau))
         X = rng.normal(size=(n, 12))
         Y = X * rng.uniform(-1.0, 2.0, size=12) + rng.standard_t(2, size=(n, 12))
@@ -549,6 +597,20 @@ class TestQuantileSlopes:
         objectives = [profiled_slope_objective(x, y, b, 0.5) for b in (0.5, 1.0, 2.0, 3.0, 3.5)]
         assert objectives[1] == objectives[2] == objectives[3] < min(objectives[0], objectives[4])
         assert paired_slopes(x[:, None], y[:, None], 0.5)[0] == 1.0
+        assert fit_quantile_regression(x[:, None], y, 0.5).coefficients[0] == 1.0
+
+    @pytest.mark.parametrize("tau", [0.25, 0.5, 0.75])
+    def test_simplex_slope_is_the_listed_slope_on_binary_x(self, tau):
+        # A binary x with tied integer y has flat optima wherever the two
+        # groups' quantiles are not unique; the simplex must end on the
+        # listing's left end.
+        rng = np.random.default_rng(int(100 * tau))
+        for n in range(6, 101):
+            x = rng.integers(0, 2, size=n).astype(float)
+            x[:2] = 0.0, 1.0
+            y = rng.integers(-3, 4, size=n).astype(float)
+            listed = paired_slopes(x[:, None], y[:, None], tau)[0]
+            assert fit_quantile_regression(x[:, None], y, tau).coefficients[0] == listed, f"n = {n}"
 
     def test_constant_regressor_has_zero_slope(self):
         x = np.full(7, 2.5)
@@ -622,14 +684,15 @@ class TestQuantileSlopes:
     @pytest.mark.parametrize("tau", [0.2, 0.5])
     def test_thousands_of_rows(self, tau):
         # A few thousand rows: the pairwise slopes (millions) are never
-        # listed, and the result still matches the linear program.
+        # listed, and the result still matches the primal linear program.
         rng = np.random.default_rng(33)
         x = rng.normal(size=3000)
         y = 0.5 * x + rng.standard_t(3, size=3000)
         slope = paired_slopes(x[:, None], y[:, None], tau)[0]
-        fit = fit_quantile_regression(x[:, None], y, tau)
-        assert slope == pytest.approx(fit.coefficients[0], abs=1e-9)
-        assert profiled_slope_objective(x, y, slope, tau) <= fit.objective + 1e-12
+        D = np.column_stack([x, np.ones(3000)])
+        primal = primal_quantile_lp(D, y, tau)
+        assert slope == pytest.approx(primal[0], abs=1e-9)
+        assert profiled_slope_objective(x, y, slope, tau) <= check_loss_mean(y - D @ primal, tau) + 1e-12
 
     @pytest.mark.filterwarnings("ignore::fpqr.exceptions.DegenerateDesignWarning")
     @settings(max_examples=150)
