@@ -8,11 +8,11 @@ result estimates a conditional quantile of each response rather than its mean,
 which keeps heavy-tailed response noise from steering the fit.
 """
 
-__all__ = ["fit_fpqr", "predict_quantile"]
+__all__ = ["fit_fpqr"]
 
 import numpy as np
 
-from .pls import _least_squares_inner, component_path
+from .pls import _loadings_inner, component_path
 from .qcov import QcovMetric, qcov_matrix
 from .quantreg import fit_quantile_regression, validate_tau
 
@@ -34,7 +34,8 @@ def quantile_parts(tau=0.5, metric="li", least_squares_gamma=False):
         qm = QcovMetric(kind, tau)
         cross_product = lambda Xa, Ya: qcov_matrix(Xa, Ya, qm)
 
-    def quantile_inner(scores, Yc):
+    def quantile_inner(decomposition, Yc):
+        scores = decomposition.scores
         gamma = np.zeros((scores.shape[1], Yc.shape[1]))
         intercepts = np.zeros(Yc.shape[1])
         for k in range(Yc.shape[1]):
@@ -43,7 +44,7 @@ def quantile_parts(tau=0.5, metric="li", least_squares_gamma=False):
             intercepts[k] = fit.intercept
         return gamma, intercepts
 
-    inner = _least_squares_inner if least_squares_gamma else quantile_inner
+    inner = _loadings_inner if least_squares_gamma else quantile_inner
     return cross_product, inner, kind, tau
 
 
@@ -75,13 +76,7 @@ def fit_fpqr(X, Y, n_components=None, tau=0.5, metric="li", center="mean", least
     Returns
     -------
     FittedModel
-        With ``tau`` set, so :func:`predict_quantile` accepts it.
+        With ``tau`` set; ``model.predict(X)`` gives the ``tau`` conditional quantiles.
     """
     return component_path(X, Y, n_components, center, *quantile_parts(tau, metric, least_squares_gamma))(n_components)
 
-
-def predict_quantile(model, X):
-    """Predicted ``tau`` conditional quantiles from a quantile-linked model."""
-    if model.tau is None:
-        raise ValueError("model carries no quantile level; it was fitted with fit_pls")
-    return model.predict(X)

@@ -1,11 +1,11 @@
-"""Dense-matrix building blocks: validation, column centering, the leading left
-singular direction of a cross-product matrix, and small least-squares solves."""
+"""Dense-matrix building blocks: validation, column centering and the leading
+left singular direction of a cross-product matrix."""
 
-__all__ = ["as_matrix", "center_columns", "leading_left_singular_vector", "least_squares"]
+__all__ = ["as_matrix", "center_columns", "leading_left_singular_vector"]
 
 import numpy as np
 
-from .exceptions import AllZeroCrossProduct, DimensionMismatch, RankDeficient
+from .exceptions import AllZeroCrossProduct
 
 CENTERING_MODES = ("mean", "none")
 
@@ -85,18 +85,3 @@ def leading_left_singular_vector(S):
         raise AllZeroCrossProduct("cross-product matrix is zero")
     U, s, _ = np.linalg.svd(S, full_matrices=False)
     return _fix_sign(U[:, 0]), float(s[0] ** 2)
-
-
-def least_squares(T, Y):
-    """Coefficient matrix minimizing ``||Y - T @ G||_F``.
-
-    Raises :class:`RankDeficient` unless ``np.linalg.lstsq``'s own (scale-free) rank is full.
-    """
-    T = as_matrix(T, "T")
-    Y = as_matrix(Y, "Y")
-    if T.shape[0] != Y.shape[0]:
-        raise DimensionMismatch(f"T has {T.shape[0]} rows, Y has {Y.shape[0]}")
-    G, _, rank, _ = np.linalg.lstsq(T, Y, rcond=None)
-    if rank < T.shape[1]:
-        raise RankDeficient(f"score matrix has rank {rank} with {T.shape[1]} columns")
-    return G

@@ -7,8 +7,9 @@ takes the leading left singular direction of a cross-product matrix between
 the current (deflated) predictor and response blocks, forms a score, and
 deflates both blocks by that score's rank-one contribution. The two flavors
 differ only in the two functions they hand the core: the mean-based fit
-(:func:`fit_pls`) uses the plain cross product and least squares; the
-quantile fit swaps in a quantile dependence metric and quantile regression.
+(:func:`fit_pls`) uses the plain cross product and least squares, which on
+the orthogonal scores is the y-loadings; the quantile fit swaps in a quantile
+dependence metric and quantile regression.
 """
 
 __all__ = ["FittedModel", "LatentDecomposition", "fit_pls"]
@@ -20,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import DimensionMismatch, IllConditionedWarning, RankDeficient, warn
-from .linalg import as_matrix, center_columns, leading_left_singular_vector, least_squares
+from .linalg import as_matrix, center_columns, leading_left_singular_vector
 
 _STOP_RTOL = 1e-12  # relative to the fit's own first round; see extract_components
 _RCOND_WARN = 1e-12
@@ -205,15 +206,13 @@ def back_project(decomposition, gamma):
     return decomposition.weights @ R
 
 
-def _least_squares_inner(scores, Yc):
-    """Inner coefficients by least squares on the scores, with zero intercepts."""
-    l = Yc.shape[1]
-    gamma = least_squares(scores, Yc) if scores.shape[1] else np.zeros((0, l))
-    return gamma, np.zeros(l)
+def _loadings_inner(decomposition, Yc):
+    """Least squares on the mutually orthogonal scores: the y-loadings, with zero intercepts."""
+    return np.ascontiguousarray(decomposition.y_loadings.T), np.zeros(Yc.shape[1])
 
 
 # What fit_pls hands the fitting core after ``center``: cross product, inner fit, metric, tau.
-PLS_PARTS = (lambda Xa, Ya: Xa.T @ Ya, _least_squares_inner, None, None)
+PLS_PARTS = (lambda Xa, Ya: Xa.T @ Ya, _loadings_inner, None, None)
 
 
 def component_path(X, Y, n_components, center, cross_product, inner, metric=None, tau=None):
@@ -222,7 +221,8 @@ def component_path(X, Y, n_components, center, cross_product, inner, metric=None
     ``finish(h)`` is the fit at any ``h`` up to ``n_components`` bit for bit,
     early stop included: extraction reads the count only as its loop bound, and
     the first h components are copied to contiguous memory before use.
-    ``inner(scores, Yc)`` returns ``gamma`` (h, l) and the intercepts (l,).
+    ``inner(decomposition, Yc)`` takes the h-component prefix and returns
+    ``gamma`` (h, l) and the intercepts (l,).
     """
     X = as_matrix(X, "X")
     Y = as_matrix(Y, "Y")
@@ -241,7 +241,7 @@ def component_path(X, Y, n_components, center, cross_product, inner, metric=None
         arrays = (path.weights, path.x_loadings, path.y_loadings, path.scores)
         reason = path.stop_reason if path.n_components < h else "requested"
         prefix = LatentDecomposition(*(np.ascontiguousarray(a[:, :h]) for a in arrays), reason)
-        gamma, intercepts = inner(prefix.scores, Yc)
+        gamma, intercepts = inner(prefix, Yc)
         return FittedModel(prefix, gamma, intercepts, x_centers, y_centers, center, metric, tau, h)
 
     return finish
@@ -261,7 +261,7 @@ def fit_pls(X, Y, n_components=None, center="mean"):
     Returns
     -------
     FittedModel
-        With ``metric`` and ``tau`` unset; the inner coefficients solve an
-        ordinary least-squares problem on the (orthogonal) scores.
+        With ``metric`` and ``tau`` unset; the inner coefficients are the
+        y-loadings, which solve least squares on the (orthogonal) scores.
     """
     return component_path(X, Y, n_components, center, *PLS_PARTS)(n_components)

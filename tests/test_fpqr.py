@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fpqr import QcovMetric, empirical_quantile, fit_fpqr, fit_pls, fit_quantile_regression, predict_quantile, quantreg
+from fpqr import QcovMetric, empirical_quantile, fit_fpqr, fit_pls, fit_quantile_regression, quantreg
 from fpqr.evaluate import ModelRecipe, cross_validate, generate_simulation, make_simulation_spec, parse_recipe
 from fpqr.exceptions import DimensionMismatch
 
@@ -147,7 +147,7 @@ class TestMetricChoices:
         model = fit_fpqr(X, Y, n_components=2, tau=0.5, metric=metric)
         assert model.metric == metric
         assert model.effective_components >= 1
-        pred = predict_quantile(model, X)
+        pred = model.predict(X)
         assert pred.shape == Y.shape
         assert np.isfinite(pred).all()
 
@@ -178,7 +178,7 @@ class TestDegenerateInputs:
         model = fit_fpqr(X, Y, n_components=2, tau=tau)
         assert model.effective_components == 0
         Yc = Y - Y.mean(axis=0)
-        pred = predict_quantile(model, X[:3])
+        pred = model.predict(X[:3])
         for k in range(2):
             expected = Y[:, k].mean() + empirical_quantile(Yc[:, k], tau)
             assert pred[0, k] == pytest.approx(expected, abs=1e-9)
@@ -227,12 +227,6 @@ class TestDegenerateInputs:
 
 
 class TestPredictQuantile:
-    def test_rejects_mean_based_model(self):
-        X, Y, _ = make_data(13)
-        model = fit_pls(X, Y, n_components=2)
-        with pytest.raises(ValueError, match="no quantile level"):
-            predict_quantile(model, X)
-
     def test_coverage_near_level(self):
         rng = np.random.default_rng(14)
         n = 400
@@ -240,5 +234,5 @@ class TestPredictQuantile:
         Y = (X @ np.array([1.0, 0.5, -0.5]))[:, None] + rng.normal(size=(n, 1))
         tau = 0.8
         model = fit_fpqr(X, Y, n_components=3, tau=tau)
-        covered = np.mean(Y <= predict_quantile(model, X))
+        covered = np.mean(Y <= model.predict(X))
         assert abs(covered - tau) < 0.08

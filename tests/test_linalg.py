@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fpqr import center_columns, leading_left_singular_vector, least_squares
-from fpqr.exceptions import AllZeroCrossProduct, DimensionMismatch, RankDeficient
+from fpqr import center_columns, leading_left_singular_vector
+from fpqr.exceptions import AllZeroCrossProduct
 
-from _oracles import dense_leading_eigenpair, normal_equations, orient
+from _oracles import dense_leading_eigenpair, orient
 
 
 class TestCenterColumns:
@@ -109,34 +109,3 @@ class TestLeadingLeftSingularVector:
         w, value = leading_left_singular_vector(S)
         assert value == pytest.approx(2.0)
         assert_allclose(np.abs(w), [np.sqrt(0.5), np.sqrt(0.5)])
-
-
-class TestLeastSquares:
-    def test_identity_scores(self):
-        assert_allclose(least_squares(np.eye(3), np.eye(3)), np.eye(3), atol=1e-12)
-
-    def test_single_column(self):
-        G = least_squares([[1.0], [1.0]], [[1.0], [3.0]])
-        assert_allclose(G, [[2.0]])
-
-    def test_matches_normal_equations(self):
-        rng = np.random.default_rng(23)
-        T = rng.normal(size=(20, 3))
-        Y = rng.normal(size=(20, 2))
-        assert_allclose(least_squares(T, Y), normal_equations(T, Y), atol=1e-8)
-
-    def test_residual_orthogonal_to_scores(self):
-        rng = np.random.default_rng(29)
-        T = rng.normal(size=(15, 4))
-        Y = rng.normal(size=(15, 3))
-        G = least_squares(T, Y)
-        assert np.abs(T.T @ (Y - T @ G)).max() <= 1e-10
-
-    def test_zero_norm_column_raises(self):
-        T = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-        with pytest.raises(RankDeficient):
-            least_squares(T, np.ones((3, 1)))
-
-    def test_row_mismatch_raises(self):
-        with pytest.raises(DimensionMismatch):
-            least_squares(np.ones((3, 1)), np.ones((4, 1)))

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fpqr import fit_fpqr, fit_pls
+from fpqr.evaluate import generate_simulation, make_simulation_spec
 from fpqr.exceptions import DimensionMismatch, IllConditionedWarning, RankDeficient
 from fpqr.pls import PLS_PARTS, LatentDecomposition, back_project, component_path, resolve_components
 
@@ -41,17 +42,24 @@ class TestResolveComponents:
             resolve_components(0, n=10, m=5)
 
 
+def assert_matches_reference(X, Y, h):
+    model = fit_pls(X, Y, n_components=h)
+    ref = reference_nipals(X, Y, h)
+    assert_allclose(model.decomposition.weights, ref["W"], atol=1e-9)
+    assert_allclose(model.decomposition.x_loadings, ref["P"], atol=1e-9)
+    assert_allclose(model.decomposition.y_loadings, ref["Q"], atol=1e-9)
+    assert_allclose(model.gamma, ref["gamma"], atol=1e-8)
+    assert_allclose(model.coefficients, ref["coefficients"], atol=1e-8)
+
+
 class TestFitAgainstReference:
     @pytest.mark.parametrize("seed,h", [(1, 1), (2, 3), (3, 5)])
     def test_matches_naive_transcription(self, seed, h):
-        X, Y = make_data(seed)
-        model = fit_pls(X, Y, n_components=h)
-        ref = reference_nipals(X, Y, h)
-        assert_allclose(model.decomposition.weights, ref["W"], atol=1e-9)
-        assert_allclose(model.decomposition.x_loadings, ref["P"], atol=1e-9)
-        assert_allclose(model.decomposition.y_loadings, ref["Q"], atol=1e-9)
-        assert_allclose(model.gamma, ref["gamma"], atol=1e-8)
-        assert_allclose(model.coefficients, ref["coefficients"], atol=1e-8)
+        assert_matches_reference(*make_data(seed), h)
+
+    def test_wide_table_matches_naive_transcription(self):
+        # n < m, the paper's regime: the reference solves the normal equations for gamma.
+        assert_matches_reference(*make_data(4, n=20, m=60, l=2), 6)
 
     def test_full_components_recover_least_squares(self):
         X, Y = make_data(7, n=60, m=5, l=2)
@@ -60,6 +68,41 @@ class TestFitAgainstReference:
         Yc = Y - Y.mean(axis=0)
         ols, *_ = np.linalg.lstsq(Xc, Yc, rcond=None)
         assert_allclose(model.coefficients, ols, atol=1e-8)
+
+
+def sim2_table():
+    return generate_simulation(make_simulation_spec("sim2", repetitions=1), 0)[:2]
+
+
+def wide_table():
+    return make_data(31, n=40, m=700, l=4)
+
+
+INNER_CASES = {
+    "sim2-pls": (sim2_table, fit_pls, 30),
+    "wide-pls": (wide_table, fit_pls, 6),
+    "sim2-classical": (sim2_table, lambda X, Y, h: fit_fpqr(X, Y, h, metric="classical", least_squares_gamma=True), 30),
+}
+
+
+class TestInnerCoefficients:
+    @pytest.mark.parametrize("case", sorted(INNER_CASES))
+    def test_gamma_is_the_y_loadings(self, case):
+        table, fit, h = INNER_CASES[case]
+        model = fit(*table(), h)
+        assert model.effective_components == h
+        assert np.array_equal(model.gamma, model.decomposition.y_loadings.T)
+
+    @pytest.mark.parametrize("table,h", [(sim2_table, 30), (sim2_table, 99), (wide_table, 39)],
+                             ids=["sim2-30", "sim2-99", "wide-39"])
+    def test_residual_orthogonal_to_scores(self, table, h):
+        # The y-loadings solve least squares on the scores: the normal equations hold.
+        X, Y = table()
+        model = fit_pls(X, Y, h)
+        T = model.decomposition.scores
+        Yc = Y - model.y_centers
+        residual = np.abs(T.T @ (Yc - T @ model.gamma)).max()
+        assert residual <= 1e-12 * np.linalg.norm(T) * np.linalg.norm(Yc)
 
 
 class TestInvariants:
