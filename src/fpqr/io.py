@@ -149,7 +149,7 @@ def write_table_csv(path, header, rows):
 
 
 def save_model(model, path, x_columns, y_columns):
-    """Serialize a fitted model to versioned JSON. Training scores are not kept."""
+    """Serialize a fitted model to versioned JSON. Training scores and y-loadings are not kept."""
     if len(x_columns) != model.n_features:
         raise ValueError(f"{len(x_columns)} x_columns for {model.n_features} features")
     if len(y_columns) != model.n_responses:
@@ -168,7 +168,6 @@ def save_model(model, path, x_columns, y_columns):
         "payload": {
             "weights": model.decomposition.weights.tolist(),
             "x_loadings": model.decomposition.x_loadings.tolist(),
-            "y_loadings": model.decomposition.y_loadings.tolist(),
             "gamma": model.gamma.tolist(),
             "intercepts": model.intercepts.tolist(),
             "x_centers": model.x_centers.tolist(),
@@ -202,8 +201,8 @@ def load_model(path):
     Returns ``(model, metadata)``. Any version other than
     ``MODEL_FORMAT_VERSION`` is rejected. :class:`~fpqr.pls.FittedModel`
     rebuilds the coefficients from the stored weights, x-loadings and inner
-    coefficients, as the fit built them; a ``coefficients`` field in the
-    payload is ignored.
+    coefficients, as the fit built them. Stored ``coefficients`` and
+    ``y_loadings`` are ignored: the decomposition has neither y-loadings nor scores.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -232,7 +231,6 @@ def load_model(path):
     weights = _payload_array(payload, "weights", (m, None))
     h = weights.shape[1]
     x_loadings = _payload_array(payload, "x_loadings", (m, h))
-    y_loadings = _payload_array(payload, "y_loadings", (l, h))
     gamma = _payload_array(payload, "gamma", (h, l))
     intercepts = _payload_array(payload, "intercepts", (l,))
 
@@ -260,7 +258,7 @@ def load_model(path):
         raise ModelFormatError(
             f"{path}: metadata 'requested_components' {requested!r} must be an integer in [{h}, {m}]"
         )
-    decomposition = LatentDecomposition(weights, x_loadings, y_loadings, scores=None)
+    decomposition = LatentDecomposition(weights, x_loadings, y_loadings=None, scores=None)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
         try:

@@ -22,17 +22,12 @@ def as_matrix(a, name="matrix"):
     return M
 
 
-def constant_columns(M):
-    """Boolean mask of the columns of 2-d ``M`` whose every entry equals the first row's."""
-    mask = M[-1] == M[0]  # rules out most columns before the full comparison
-    if mask.any():
-        mask[mask] = (M[:, mask] == M[0, mask]).all(axis=0)
-    return mask
-
-
 def column_centers(M):
     """Column means, except that a constant column's center is its value, so it centers to exact zeros."""
-    return np.where(constant_columns(M), M[0], M.mean(axis=0))
+    constant = M[-1] == M[0]  # rules out most columns before the full comparison
+    if constant.any():
+        constant[constant] = (M[:, constant] == M[0, constant]).all(axis=0)
+    return np.where(constant, M[0], M.mean(axis=0))
 
 
 def center_columns(M, mode="mean"):

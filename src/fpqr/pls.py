@@ -36,9 +36,9 @@ class LatentDecomposition:
     weights : array, shape (m, h)
         Unit-norm direction per component (columns).
     x_loadings : array, shape (m, h)
-    y_loadings : array, shape (l, h)
+    y_loadings : array, shape (l, h) or None
     scores : array, shape (n, h) or None
-        Training scores; dropped when a model is reloaded from disk.
+        Training y-loadings and scores; not saved, so None when reloaded from disk.
     stop_reason : str or None
         ``"requested"`` once every requested component is extracted, else
         ``"small-cross-product"`` or ``"small-score"`` for the test that ended
@@ -47,7 +47,7 @@ class LatentDecomposition:
 
     weights: np.ndarray
     x_loadings: np.ndarray
-    y_loadings: np.ndarray
+    y_loadings: Optional[np.ndarray]
     scores: Optional[np.ndarray]
     stop_reason: Optional[str] = None
 

@@ -10,10 +10,8 @@ Three quantile metrics are provided next to the classical covariance:
   values (and the matching correlation).
 
 All variance and covariance style quantities are normalized by ``n``. The
-slopes behind ``dodge`` and ``choi`` come from one call to
-:func:`~fpqr.quantreg.quantile_slopes` per direction: an exact batched
-listing of pairwise slopes up to 362 rows, one quantile regression per pair
-beyond.
+slopes behind ``dodge`` and ``choi`` come from
+:func:`~fpqr.quantreg.quantile_slopes`.
 """
 
 __all__ = ["QcovMetric", "qcor_choi", "qcov_choi", "qcov_dodge", "qcov_li", "qcov_matrix"]
@@ -28,8 +26,8 @@ from .exceptions import (
     ZeroVarianceWarning,
     warn,
 )
-from .linalg import as_matrix, column_centers, constant_columns
-from .quantreg import _quantile_rank, empirical_quantile, psi, quantile_slopes, validate_tau
+from .linalg import as_matrix, column_centers
+from .quantreg import _quantile_rank, _within_rounding, empirical_quantile, psi, quantile_slopes, validate_tau
 
 METRIC_KINDS = ("classical", "li", "dodge", "choi")
 
@@ -77,14 +75,15 @@ def qcov_li(z1, z2, tau):
 
 
 def _slope_values(kind, X, Y, tau, correlation=False):
-    # Dodge or choi values between every column of X and of Y, flattened row-major. A degenerate
-    # pair (a constant column; for choi also discordant slopes) warns, naming its entry (j, k), and gets 0.
+    # Dodge or choi values between every column of X and of Y, flattened row-major. A degenerate pair
+    # (a regressor the QR rule drops; for choi also discordant slopes) warns, naming its entry (j, k), and gets 0.
     m, l = X.shape[1], Y.shape[1]
     jx = np.repeat(np.arange(m), l)
     jy = np.tile(np.arange(l), m)
     var_x = X.var(axis=0)[jx]
     var_y = Y.var(axis=0)[jy]
-    zero = constant_columns(X)[jx] | (kind == "choi") & constant_columns(Y)[jy]
+    dropped = lambda M: _within_rounding(np.linalg.norm(M - M.mean(axis=0), axis=0), M)
+    zero = dropped(X)[jx] | (kind == "choi") & dropped(Y)[jy]
     fit = ~zero
     b21 = np.zeros(m * l)
     b21[fit] = quantile_slopes(X, Y, tau, jx[fit], jy[fit])
@@ -144,11 +143,14 @@ def qcov_matrix(X, Y, metric):
     Notes
     -----
     The ``li`` kind is computed in one pass of matrix algebra. ``dodge`` and
-    ``choi`` take the quantile slopes of every column pair (both directions
-    for ``choi``) from one :func:`~fpqr.quantreg.quantile_slopes` call per
-    direction: a listing with no linear program up to 362 rows, one simplex
-    solve per pair beyond; each is the smallest optimal slope. Degenerate
-    entries are reported with their ``(j, k)`` coordinates and set to 0.
+    ``choi`` take every column pair's smallest optimal quantile slope (both
+    directions for ``choi``) from :func:`~fpqr.quantreg.quantile_slopes`.
+    A regressor that the QR rule of
+    :func:`~fpqr.quantreg.fit_quantile_regression` drops beside the
+    intercept, ``||x - mean(x)|| <= max(n, 2) * eps * ||x||`` (exact
+    constants included), makes its entry degenerate at any ``n``; ``choi``
+    tests both columns. Degenerate entries are reported with their ``(j, k)``
+    coordinates and set to 0.
     """
     if not isinstance(metric, QcovMetric):
         raise TypeError(f"metric must be a QcovMetric, got {type(metric).__name__}")

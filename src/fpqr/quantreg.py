@@ -97,6 +97,11 @@ class QrFit:
     iterations: int
 
 
+def _within_rounding(size, D):
+    # QR's scale-free test: each size is within max(n, 2) machine epsilons of its column's norm in D (n rows).
+    return size <= max(D.shape[0], 2) * np.finfo(float).eps * np.linalg.norm(D, axis=0)
+
+
 def _solve_lp(D, y, tau):
     # Simplex on the dual (see fit_quantile_regression's Notes) for any design
     # D; an intercept is one of its columns, first if it must never drop. A vertex
@@ -112,7 +117,7 @@ def _solve_lp(D, y, tau):
     keep = np.ones(k, dtype=bool)
     while True:
         q, r = np.linalg.qr(D[:, keep])
-        small = np.abs(np.diagonal(r)) <= max(n, k) * np.finfo(float).eps * np.linalg.norm(D[:, keep], axis=0)
+        small = _within_rounding(np.abs(np.diagonal(r)), D[:, keep])
         if not small.any():
             break
         keep[np.flatnonzero(keep)[small.argmax()]] = False
@@ -306,10 +311,8 @@ def _listed_slopes(x, y, tau, k, i, j):
     dy -= np.take(y, j, axis=1)
     points = np.divide(dy, dx, out=np.full_like(dx, np.inf), where=dx != 0.0)
     points.sort(axis=1)
-    count = np.isfinite(points).sum(axis=1)
-    points[count == 0, 0] = 0.0
     lo = np.zeros(rows.size, dtype=np.intp)
-    hi = np.maximum(count - 1, 0)
+    hi = np.isfinite(points).sum(axis=1) - 1
     while (lo < hi).any():
         open_ = lo < hi
         mid = (lo + hi) // 2
@@ -323,9 +326,9 @@ def quantile_slopes(X, Y, tau, x_columns, y_columns):
     """Exact tau-quantile slope, with a free intercept, of ``Y[:, y_columns[i]]``
     on ``X[:, x_columns[i]]`` for every ``i``.
 
-    ``X`` and ``Y`` are finite arrays with one row count ``n >= 2``; callers
-    check that. Returns an array of ``len(x_columns)`` slopes, each the
-    smallest minimiser of the check loss; a constant regressor has slope 0.
+    ``X`` and ``Y`` are finite with one row count ``n >= 2``, and the QR rule
+    of :func:`fit_quantile_regression` keeps every regressor; callers check
+    that. Returns ``len(x_columns)`` slopes, each the smallest minimiser.
 
     While one pair's ``n * (n - 1) / 2`` pairwise slopes fit in
     ``SLOPE_BLOCK_ENTRIES`` (up to 362 rows), they are listed, in blocks of

@@ -187,6 +187,31 @@ class TestModelFile:
         assert_array_equal(loaded.coefficients, model.coefficients)
         assert_array_equal(loaded.predict(X), model.predict(X))
 
+    @pytest.mark.parametrize("method", ["pls", "fpqr"])
+    def test_file_stores_no_y_loadings(self, tmp_path, method):
+        _, model = self.fit_small(method=method)
+        path = tmp_path / "model.json"
+        save_model(model, path, ["a", "b", "c"], ["u", "v"])
+        assert "y_loadings" not in json.loads(path.read_text())["payload"]
+
+    @pytest.mark.parametrize("method", ["pls", "fpqr"])
+    def test_stored_y_loadings_ignored(self, tmp_path, method):
+        # Earlier files of the same format version also carry the y-loadings,
+        # which no prediction reads (for pls they are gamma transposed). A copy
+        # that disagrees with the fit neither fails the load nor moves a prediction.
+        X, model = self.fit_small(method=method)
+        path = tmp_path / "model.json"
+        save_model(model, path, ["a", "b", "c"], ["u", "v"])
+        doc = json.loads(path.read_text())
+        y_loadings = model.decomposition.y_loadings.copy()
+        y_loadings[0, 0] += 1.0
+        doc["payload"]["y_loadings"] = y_loadings.tolist()
+        path.write_text(json.dumps(doc))
+        loaded, _ = load_model(path)
+        assert loaded.decomposition.y_loadings is None
+        assert loaded.decomposition.scores is None
+        assert_array_equal(loaded.predict(X), model.predict(X))
+
     def test_unsupported_version_rejected(self, tmp_path):
         _, model = self.fit_small()
         path = tmp_path / "model.json"
@@ -222,13 +247,11 @@ class TestModelFile:
             ("metadata", "x_columns", ["a", "a", "c"]),
             ("payload", "gamma", [[1.0, 2.0]]),
             ("payload", "x_loadings", [[1.0], [2.0], [3.0]]),
-            ("payload", "y_loadings", [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
             ("payload", "x_loadings", [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
             ("metadata", "method", "pls"),
             ("metadata", "tau", None),
         ],
-        ids=["tau", "center", "metric", "x_columns", "gamma", "x_loadings", "y_loadings", "singular",
-             "method", "tau-null"],
+        ids=["tau", "center", "metric", "x_columns", "gamma", "x_loadings", "singular", "method", "tau-null"],
     )
     def test_tampered_field_rejected(self, tmp_path, block, key, value):
         _, model = self.fit_small()
@@ -247,8 +270,8 @@ class TestModelFile:
             "format_version": 1,
             "metadata": {"method": "pls", "metric": None, "tau": None, "requested_components": 0,
                          "center": "mean", "x_columns": [], "y_columns": ["y"]},
-            "payload": {"weights": [], "x_loadings": [], "y_loadings": [[]], "gamma": [],
-                        "intercepts": [0.0], "x_centers": [], "y_centers": [0.0]},
+            "payload": {"weights": [], "x_loadings": [], "gamma": [], "intercepts": [0.0],
+                        "x_centers": [], "y_centers": [0.0]},
         }
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))

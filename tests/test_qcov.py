@@ -1,8 +1,9 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from fpqr import QcovMetric, fit_quantile_regression, qcor_choi, qcov_choi, qcov_dodge, qcov_li, qcov_matrix
 from fpqr import quantreg
@@ -208,6 +209,48 @@ class TestQcovMatrix:
         assert [m.split(" at entry ")[1] for m in zero_variance] == ["(1, 0); value set to 0", "(1, 1); value set to 0"]
         assert all(w.filename == __file__ for w in caught)
         assert (M[1] == 0.0).all()
+
+    @pytest.mark.parametrize("n", [300, 400], ids=["listing", "simplex"])
+    @pytest.mark.parametrize("kind", ["dodge", "choi"])
+    def test_regressor_constant_to_rounding_is_degenerate(self, kind, n):
+        # Column 0 is 7 but for one entry of 7 + 7 * 2**-50. Whether its slopes
+        # would come from the listing (300 rows) or the simplex (400 rows), its
+        # entries are 0 and named, and every other entry is what the other
+        # columns give alone.
+        rng = np.random.default_rng(29)
+        Z = rng.normal(size=(n, 3))
+        Z[:, 0] = 7.0
+        Z[n // 2, 0] += 7.0 * 2.0**-50
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            M = qcov_matrix(Z, Z, QcovMetric(kind, tau=0.5))
+            first = 0 if kind == "dodge" else 1  # choi also zeroes column 0
+            rest = qcov_matrix(Z[:, 1:], Z[:, first:], QcovMetric(kind, tau=0.5))
+        named = [w for w in caught if w.category is ZeroVarianceWarning and "entry (0, 0)" in str(w.message)]
+        assert M[0, 0] == 0.0
+        assert len(named) == 1
+        assert (M[0] == 0.0).all() and (M[:, :first] == 0.0).all()
+        assert_array_equal(M[1:, first:], rest)
+
+    @pytest.mark.parametrize("n", [50, 300, 400, 2000])
+    def test_simplex_keeps_every_regressor_the_rule_keeps(self, n):
+        # Columns of 7, -3e5 and 1e-7 with one entry moved by +-2**-k of its
+        # value, k = 40..55, straddle the rule's threshold at 50 rows. None that
+        # dodge fits may be one the simplex's QR rule drops.
+        rng = np.random.default_rng(n)
+        moves = np.array([sign * 2.0**-k for k in range(40, 56) for sign in (1.0, -1.0)])
+        X = np.repeat([7.0, -3e5, 1e-7], moves.size) * np.ones((n, 1))
+        row = rng.integers(n)
+        X[row] += X[row] * np.tile(moves, 3)
+        y = rng.normal(size=n)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            qcov_matrix(X, y[:, None], QcovMetric("dodge", tau=0.5))
+        zeroed = {int(re.search(r"entry \((\d+), 0\)", str(w.message))[1]) for w in caught}
+        kept = [j for j in range(X.shape[1]) if j not in zeroed]
+        assert len(kept) == (24 if n == 50 else 0)
+        for j in kept:
+            assert quantreg._solve_lp(np.column_stack([np.ones(n), X[:, j]]), y, 0.5)[2].all(), j
 
     def test_row_count_mismatch(self):
         from fpqr.exceptions import DimensionMismatch
