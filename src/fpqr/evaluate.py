@@ -14,7 +14,7 @@ import numpy as np
 
 from .exceptions import DimensionMismatch, InvalidSpec
 from .fpqr import FPQR_METRICS, fit_fpqr, quantile_parts
-from .linalg import as_matrix
+from .linalg import as_matrix, validate_center
 from .pls import PLS_PARTS, as_count, component_cap, component_path, fit_pls, resolve_components
 from .quantreg import check_loss, validate_tau
 
@@ -67,7 +67,8 @@ class ModelRecipe:
     """A named, parameter-complete way to fit a model, used by studies and CV.
 
     ``method`` is ``"pls"`` (no metric, no level) or ``"fpqr"`` (a metric in
-    ``FPQR_METRICS``, a level in (0, 1)); anything else raises ``ValueError``.
+    ``FPQR_METRICS``, a level in (0, 1)), and ``center`` one of
+    ``CENTERING_MODES``; anything else raises ``ValueError``.
     """
 
     tag: str
@@ -77,6 +78,7 @@ class ModelRecipe:
     center: str = "mean"
 
     def __post_init__(self):
+        validate_center(self.center)
         if self.method == "pls":
             if self.metric is not None or self.tau is not None:
                 raise ValueError("the pls recipe takes no metric and no quantile level")
@@ -316,20 +318,18 @@ def generate_simulation(spec, repetition):
             size=(_RELEVANT_PREDICTORS, l)
         )
         X = _stream(spec, repetition, "x_train").standard_normal((n, m))
-        E = _draw_noise(_stream(spec, repetition, "noise_train"), spec.error_law, (n, l))
         X_test = _stream(spec, repetition, "x_test").standard_normal((n_test, m))
-        E_test = _draw_noise(_stream(spec, repetition, "noise_test"), spec.error_law, (n_test, l))
     else:
         h = spec.n_components
         T = _stream(spec, repetition, "scores_train").standard_normal((n, h))
         P = _stream(spec, repetition, "loadings").standard_normal((m, h))
         X = T @ P.T
         B = _stream(spec, repetition, "coefficients").normal(0.0, _SIM3_COEF_SCALE, (m, l))
-        E = _draw_noise(_stream(spec, repetition, "noise_train"), spec.error_law, (n, l))
         T_test = _stream(spec, repetition, "scores_test").standard_normal((n_test, h))
         X_test = T_test @ P.T
-        E_test = _draw_noise(_stream(spec, repetition, "noise_test"), spec.error_law, (n_test, l))
 
+    E = _draw_noise(_stream(spec, repetition, "noise_train"), spec.error_law, (n, l))
+    E_test = _draw_noise(_stream(spec, repetition, "noise_test"), spec.error_law, (n_test, l))
     Y = X @ B + E
     Y_test = X_test @ B + E_test
     return X, Y, X_test, Y_test, B

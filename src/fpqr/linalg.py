@@ -30,20 +30,23 @@ def column_centers(M):
     return np.where(constant, M[0], M.mean(axis=0))
 
 
+def validate_center(mode):
+    """Return ``mode`` after checking it is one of ``CENTERING_MODES``."""
+    if mode not in CENTERING_MODES:
+        raise ValueError(f"unknown centering mode {mode!r}; expected one of {CENTERING_MODES}")
+    return mode
+
+
 def center_columns(M, mode="mean"):
     """Shift each column of ``M`` by its center.
 
     Returns ``(centered, centers)``, the centers from :func:`column_centers`.
-    With ``mode="none"`` the matrix is copied unchanged and the centers are
-    all zero, so downstream arithmetic needs no special casing.
+    With ``mode="none"`` the centers are all zero, so the result is an
+    unchanged copy and downstream arithmetic needs no special casing.
     """
     M = as_matrix(M, "M")
-    if mode == "mean":
-        centers = column_centers(M)
-        return M - centers, centers
-    if mode == "none":
-        return M.copy(), np.zeros(M.shape[1])
-    raise ValueError(f"unknown centering mode {mode!r}; expected one of {CENTERING_MODES}")
+    centers = column_centers(M) if validate_center(mode) == "mean" else np.zeros(M.shape[1])
+    return M - centers, centers
 
 
 def _fix_sign(w):

@@ -27,7 +27,7 @@ _STOP_RTOL = 1e-12  # relative to the fit's own first round; see extract_compone
 _RCOND_WARN = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class LatentDecomposition:
     """Weights, loadings and scores produced by the extraction loop, and why it stopped.
 
@@ -56,16 +56,16 @@ class LatentDecomposition:
         return self.weights.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FittedModel:
     """A fitted latent-component regression ready for prediction.
 
     ``coefficients``, built from the decomposition and ``gamma`` by
-    :func:`back_project`, maps centered predictors to centered responses;
-    ``intercepts`` holds the quantile-regression intercepts (all zero for the
-    mean-based fit, where the response centers play that role).
-    ``x_centers`` and ``y_centers`` are the column offsets that the
-    ``center`` mode removed (all zero for ``"none"``).
+    :func:`back_project` (the model is frozen, so they cannot go stale), maps
+    centered predictors to centered responses; ``intercepts`` holds the
+    quantile-regression intercepts (all zero for the mean-based fit, where the
+    response centers play that role). ``x_centers`` and ``y_centers`` are the
+    column offsets that the ``center`` mode removed (all zero for ``"none"``).
     """
 
     decomposition: LatentDecomposition
@@ -80,7 +80,7 @@ class FittedModel:
     coefficients: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.coefficients = back_project(self.decomposition, self.gamma)
+        object.__setattr__(self, "coefficients", back_project(self.decomposition, self.gamma))
 
     @property
     def effective_components(self):

@@ -201,6 +201,8 @@ def _solve_lp(D, y, tau):
         inverse[:, j] = column
     rows = np.sort(basis)
     params[keep] = np.linalg.solve(D[rows], y[rows])
+    if not np.isfinite(params).all():
+        raise SolverFailure("the quantile-regression optimum does not fit in a double")
     return params, pivots, keep
 
 
@@ -237,8 +239,8 @@ def fit_quantile_regression(X, y, tau):
     lexicographically smallest minimiser, whatever the row order. The
     coefficients are one k-by-k solve on the interpolated rows in
     ascending order. ``QrFit.iterations`` counts the simplex's pivots, flat
-    edges included, not the reweighting rounds; past ``50 * (n + k)``
-    :class:`SolverFailure` is raised.
+    edges included, not the reweighting rounds. Past ``50 * (n + k)`` pivots,
+    or on an optimum too large for a double, :class:`SolverFailure` is raised.
 
     The intercept column comes first, so it is never dropped. A predictor
     column that depends on earlier ones by the QR factorization's scale-free
@@ -277,34 +279,16 @@ def fit_quantile_regression(X, y, tau):
     return QrFit(coefficients=coefficients, intercept=intercept, objective=objective, iterations=iterations)
 
 
-def _right_rate(x, y, b, tau, k, y_size, x_size):
-    # Right derivative of each row's profiled check loss at slope b. Just
-    # right of b the residuals keep their order, except that residuals equal
-    # at b (up to a few units of rounding) order by decreasing x. y_size and
-    # x_size are each row's largest |y| and |x|, which set the rounding scale.
-    e = y - b[:, None] * x
-    rows = np.arange(x.shape[0])
-    kth = np.partition(e, k - 1, axis=1)[:, k - 1 : k]
-    slack = _TIE_EPS * (y_size + np.abs(b) * x_size)[:, None]
-    below = e < kth - slack
-    tied = ~below & (e <= kth + slack)
-    p = np.argmax(tied, axis=1)
-    many = np.flatnonzero(tied.sum(axis=1) > 1)
-    if many.size:
-        order = np.argsort(np.where(tied[many], -x[many], np.inf), axis=1, kind="stable")
-        p[many] = order[np.arange(many.size), k - 1 - below[many].sum(axis=1)]
-    xp = x[rows, p][:, None]
-    below |= tied & (x > xp)
-    return ((x - xp) * (below - tau)).sum(axis=1)
-
-
 def _listed_slopes(x, y, tau, k, i, j):
     # x, y: one column pair per row; i, j: the row-index pairs i < j. Every
     # pairwise slope is listed and sorted, then bisected for the first one
-    # whose right derivative is not steep (see the tie rule).
+    # whose right derivative is not steep (see the tie rule). Just right of a
+    # slope b the residuals keep their order, except that residuals tied at b
+    # (within a few units of rounding of the row's largest |y| and |x|) order
+    # by decreasing x; xp is the x of the k-th residual in that order.
     rows = np.arange(x.shape[0])
     steep = -_FLAT_RTOL * np.abs(x - x.mean(axis=1, keepdims=True)).sum(axis=1)
-    sizes = np.abs(y).max(axis=1), np.abs(x).max(axis=1)
+    y_size, x_size = np.abs(y).max(axis=1), np.abs(x).max(axis=1)
     dx = np.take(x, i, axis=1)
     dx -= np.take(x, j, axis=1)
     dy = np.take(y, i, axis=1)
@@ -316,7 +300,16 @@ def _listed_slopes(x, y, tau, k, i, j):
     while (lo < hi).any():
         open_ = lo < hi
         mid = (lo + hi) // 2
-        falls = _right_rate(x, y, points[rows, mid], tau, k, *sizes) < steep
+        b = points[rows, mid]
+        e = y - b[:, None] * x
+        kth = np.partition(e, k - 1, axis=1)[:, k - 1 : k]
+        slack = _TIE_EPS * (y_size + np.abs(b) * x_size)[:, None]
+        below = e < kth - slack
+        tied = ~below & (e <= kth + slack)
+        order = np.argsort(np.where(tied, -x, np.inf), axis=1, kind="stable")
+        xp = x[rows, order[rows, k - 1 - below.sum(axis=1)]][:, None]
+        below |= tied & (x > xp)
+        falls = ((x - xp) * (below - tau)).sum(axis=1) < steep
         lo = np.where(open_ & falls, mid + 1, lo)
         hi = np.where(open_ & ~falls, mid, hi)
     return points[rows, lo]

@@ -90,6 +90,12 @@ class TestParseRecipe:
         with pytest.raises(ValueError, match="unknown recipe method 'PLS'"):
             ModelRecipe("c", "PLS")
 
+    @pytest.mark.parametrize("method, metric, tau", [("pls", None, None), ("fpqr", "li", 0.5)])
+    def test_unknown_centering_mode_rejected(self, method, metric, tau):
+        # Built, it would fail every fit: run_study would exclude every repetition.
+        with pytest.raises(ValueError, match="unknown centering mode 'median'"):
+            ModelRecipe("e", method, metric, tau, center="median")
+
     @pytest.mark.parametrize("metric, tau", [("kendall", 0.5), ("li", 1.5), (None, 0.5)])
     def test_fpqr_recipe_with_a_bad_metric_or_level_rejected(self, metric, tau):
         with pytest.raises(ValueError):

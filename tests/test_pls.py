@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -145,6 +147,14 @@ class TestInvariants:
         model = fit_pls(X, Y, n_components=3)
         at_mean = model.predict(X.mean(axis=0, keepdims=True))
         assert_allclose(at_mean.ravel(), Y.mean(axis=0), atol=1e-10)
+
+    def test_fitted_model_is_frozen(self):
+        # coefficients are built from gamma once; a new gamma would leave them stale.
+        model = fit_pls(*make_data(17), n_components=2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.gamma = np.zeros_like(model.gamma)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.decomposition.weights = np.zeros_like(model.decomposition.weights)
 
 
 class TestEarlyStop:

@@ -233,6 +233,12 @@ class TestFitQuantileRegression:
         with pytest.raises(ValueError, match="non-finite"):
             fit_quantile_regression(np.ones((3, 1)), [1.0, np.inf, 2.0], 0.5)
 
+    def test_overflowing_optimum_raises_solver_failure(self):
+        # The exact slope, 1e310, does not fit in a double.
+        x = np.array([1e-300, 2e-300, 3e-300, 4e-300])
+        with pytest.raises(SolverFailure, match="does not fit in a double"):
+            fit_quantile_regression(x, [0.0, 1e10, 2e10, 3e10], 0.5)
+
 
 def fitted_objective(X, y, tau, with_intercept=True):
     # The fit's objective; without an intercept column, that of the solver
@@ -620,6 +626,13 @@ class TestQuantileSlopes:
         for entries in (45, 100, 200):  # 1, 2 and 4 listed pairs per block
             monkeypatch.setattr(quantreg, "SLOPE_BLOCK_ENTRIES", entries)
             assert_array_equal(paired_slopes(X, Y, 0.3), whole)
+
+    def test_overflowing_simplex_slope_raises_solver_failure(self, monkeypatch):
+        # A cap of 1 sends the pair to the simplex; its slope, 1e310, overflows.
+        monkeypatch.setattr(quantreg, "SLOPE_BLOCK_ENTRIES", 1)
+        x = np.array([[1e-300], [2e-300], [3e-300], [4e-300]])
+        with pytest.raises(SolverFailure, match="does not fit in a double"):
+            paired_slopes(x, np.array([[0.0], [1e10], [2e10], [3e10]]), 0.5)
 
     @pytest.mark.parametrize("tau", [0.25, 0.5, 0.7])
     def test_search_without_listing_agrees(self, tau, monkeypatch):
