@@ -10,6 +10,7 @@ representation, so reloading reproduces predictions exactly.
 __all__ = ["load_model", "read_dataset", "save_model", "split_response_columns", "write_matrix_csv"]
 
 import csv
+import itertools
 import json
 import re
 import warnings
@@ -37,49 +38,79 @@ def read_dataset(path):
     except that it accepts neither ``_`` digit separators nor non-ASCII
     digits. Spaces and tabs around a cell are ignored, and a cell may be
     double-quoted as :mod:`csv` quotes, provided the quote closes on the same
-    line. Blank lines are rejected, and ``#`` starts no comment. A
-    well-formed body is parsed in one call, any other line by line.
+    line. Blank lines are rejected, and ``#`` starts no comment.
+
+    A well-formed body is parsed in one call that streams its lines from the
+    open file, so the body text is never held whole: peak memory is about
+    the result. Any other body is read again from its first line, line by
+    line, through the same handle. A file is read again by seeking back; the
+    lines of a pipe, which cannot seek, are kept as they are read. The path
+    is opened once, so a named pipe works.
     """
     try:
         with open(path, encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
+            reader = csv.reader(iter(handle.readline, ""))
             header = next(reader, None)
-            body = handle.read()
+            if header is None:
+                raise DataError(f"{path}: file is empty")
+            if not header:
+                raise DataError(f"{path}: line 1 is blank, expected the header")
+            header = [name.strip() for name in header]
+            if any(not name for name in header):
+                raise DataError(f"{path}: header contains an empty column name")
+            seen = set()
+            for name in header:
+                if name in seen:
+                    raise DataError(f"{path}: duplicate column name {name!r}")
+                seen.add(name)
+            start = handle.tell() if handle.seekable() else None
+            head = handle.readline()
+            if not head:
+                raise DataError(f"{path}: no data rows after the header")
+            kept = None if start is not None else []  # a pipe cannot seek back to the body
+            data = _read_whole(itertools.chain([head], handle), len(header), kept)
+            if data is not None:
+                return header, data
+            if kept is None:
+                handle.seek(start)
+            lines = itertools.chain(kept or [], handle)
+            first = reader.line_num + 1  # the file line of the body's first line
+            rows = [_read_line(f"{path}: line {first + i}", header, line.rstrip("\n")) for i, line in enumerate(lines)]
+            return header, np.vstack(rows)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not valid UTF-8: {exc}") from exc
     except csv.Error as exc:
         raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    if header is None:
-        raise DataError(f"{path}: file is empty")
-    if not header:
-        raise DataError(f"{path}: line 1 is blank, expected the header")
-    header = [name.strip() for name in header]
-    if any(not name for name in header):
-        raise DataError(f"{path}: header contains an empty column name")
-    seen = set()
-    for name in header:
-        if name in seen:
-            raise DataError(f"{path}: duplicate column name {name!r}")
-        seen.add(name)
-    lines = body.split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the newline that ends the last line
-    if not lines:
-        raise DataError(f"{path}: no data rows after the header")
-    # loadtxt would skip a blank line and carry an unclosed quote on into the
-    # next line. Such a body, and one this call does not read whole, is read
-    # line by line, which defines what is read and which fault is named.
-    if all(line and ('"' not in line or _QUOTES_CLOSE.fullmatch(line)) for line in lines):
-        try:
-            data = np.loadtxt(lines, ndmin=2, **_DIALECT)
-        except ValueError:
-            data = None
-        if data is not None and data.shape == (len(lines), len(header)) and np.isfinite(data).all():
-            return header, data
-    first = reader.line_num + 1  # the file line of lines[0]
-    return header, np.vstack([_read_line(f"{path}: line {first + i}", header, line) for i, line in enumerate(lines)])
+
+
+def _read_whole(lines, width, kept):
+    """The body ``lines`` as one (rows, width) array from one loadtxt call, or
+    None where it must be read line by line; ``kept``, unless None, collects
+    every line taken from ``lines``."""
+    rows = 0
+
+    def checked():
+        nonlocal rows
+        for line in lines:
+            if kept is not None:
+                kept.append(line)
+            line = line.rstrip("\n")
+            # loadtxt would skip a blank line and carry an unclosed quote on
+            # into the next line; reading line by line names the fault.
+            if not line or '"' in line and not _QUOTES_CLOSE.fullmatch(line):
+                raise ValueError("read the body line by line")
+            rows += 1
+            yield line
+
+    try:
+        data = np.loadtxt(checked(), ndmin=2, **_DIALECT)
+    except UnicodeDecodeError:
+        raise
+    except ValueError:
+        return None
+    return data if data.shape == (rows, width) and np.isfinite(data).all() else None
 
 
 # How loadtxt splits a body line: "#" starts no comment.
@@ -137,7 +168,7 @@ def write_matrix_csv(path, header, matrix):
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     if matrix.shape[1] != len(header):
         raise ValueError(f"matrix has {matrix.shape[1]} columns, header has {len(header)}")
-    write_table_csv(path, header, (map(repr, row) for row in matrix.tolist()))
+    write_table_csv(path, header, (map(repr, row.tolist()) for row in matrix))
 
 
 def write_table_csv(path, header, rows):

@@ -151,8 +151,12 @@ def extract_components(X0, Y0, n_components, cross_product):
     matrix ``S_a``. The loop stops early once ``||S_a||_F <= 1e-12 ||S_0||_F``
     (at a = 0, only an exactly zero ``S_0``; stop reason ``"small-cross-product"``)
     or a score has ``t @ t <= (1e-12 ||X0||_F)**2`` (``"small-score"``).
+
+    ``X0`` is deflated in place: the caller hands over a block it owns and
+    does not read afterwards, so the predictors exist once. ``Y0`` is
+    copied, because the inner fit reads the undeflated responses.
     """
-    Xa = X0.copy()
+    Xa = X0
     Ya = Y0.copy()
     n, m = Xa.shape
     l = Ya.shape[1]

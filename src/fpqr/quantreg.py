@@ -97,9 +97,22 @@ class QrFit:
     iterations: int
 
 
+def _binary_exponents(M):
+    # Per column of M, the e with the largest |entry| in [2**(e-1), 2**e) (0 for a zero column):
+    # scaling by 2**-e is exact and brings every entry into (-1, 1).
+    return np.frexp(np.abs(M).max(axis=0))[1]
+
+
+def _column_norms(M):
+    # Column 2-norms that cannot overflow or underflow: each column is scaled by a power of two near its
+    # largest |entry| first, as LAPACK's norms scale. The scaling is exact, so in range the bits are np.linalg.norm's.
+    e = _binary_exponents(M)
+    return np.ldexp(np.linalg.norm(np.ldexp(M, -e), axis=0), e)
+
+
 def _within_rounding(size, D):
     # QR's scale-free test: each size is within max(n, 2) machine epsilons of its column's norm in D (n rows).
-    return size <= max(D.shape[0], 2) * np.finfo(float).eps * np.linalg.norm(D, axis=0)
+    return size <= max(D.shape[0], 2) * np.finfo(float).eps * _column_norms(D)
 
 
 def _solve_lp(D, y, tau):
@@ -112,6 +125,10 @@ def _solve_lp(D, y, tau):
     # directional derivative is no longer negative; that row enters.
     n, k = D.shape
     params = np.zeros(k)
+    # The simplex runs on y scaled by the power of two that brings its largest
+    # |entry| into [0.5, 1): exact, so no pivot changes, and no square of a
+    # residual over- or underflows. The final solve takes y as given.
+    given, y = y, np.ldexp(y, -_binary_exponents(y))
     # Columns dependent on earlier ones get coefficient 0; past R's first
     # vanishing diagonal the factors say nothing, so refactor without it.
     keep = np.ones(k, dtype=bool)
@@ -200,7 +217,7 @@ def _solve_lp(D, y, tau):
         inverse -= np.multiply.outer(column, u)
         inverse[:, j] = column
     rows = np.sort(basis)
-    params[keep] = np.linalg.solve(D[rows], y[rows])
+    params[keep] = np.linalg.solve(D[rows], given[rows])
     if not np.isfinite(params).all():
         raise SolverFailure("the quantile-regression optimum does not fit in a double")
     return params, pivots, keep
@@ -344,19 +361,37 @@ def quantile_slopes(X, Y, tau, x_columns, y_columns):
     Past that, each pair is one solve of the simplex behind
     :func:`fit_quantile_regression` on ``[1, x]``, in O(n) memory; it ends on
     the smallest optimal slope too.
+
+    Both run in binary units: ``x`` and ``y`` are each scaled by the power of
+    two that brings their largest |entry| into [0.5, 1), and the slope is
+    scaled back. That is exact, so in range no bit moves, and no intermediate
+    overflows however large or small the columns are. A slope that does not
+    fit in a double once scaled back raises :class:`SolverFailure`.
     """
     n = X.shape[0]
     x_columns = np.asarray(x_columns, dtype=np.intp)
     y_columns = np.asarray(y_columns, dtype=np.intp)
+    ex = _binary_exponents(X)[x_columns]
+    ey = _binary_exponents(Y)[y_columns]
     listed = n * (n - 1) // 2
     if listed > SLOPE_BLOCK_ENTRIES:
         ones = np.ones(n)
-        return np.array([_solve_lp(np.column_stack([ones, X[:, a]]), Y[:, b].copy(), tau)[0][1] for a, b in zip(x_columns, y_columns)])
-    k = _quantile_rank(n, tau)
-    i, j = np.triu_indices(n, 1)
-    block = SLOPE_BLOCK_ENTRIES // listed
-    slopes = np.empty(x_columns.size)
-    for start in range(0, x_columns.size, block):
-        part = slice(start, start + block)
-        slopes[part] = _listed_slopes(X[:, x_columns[part]].T.copy(), Y[:, y_columns[part]].T.copy(), tau, k, i, j)
+        slopes = np.array([
+            _solve_lp(np.column_stack([ones, np.ldexp(X[:, a], -c)]), np.ldexp(Y[:, b], -d), tau)[0][1]
+            for a, b, c, d in zip(x_columns, y_columns, ex, ey)
+        ])
+    else:
+        k = _quantile_rank(n, tau)
+        i, j = np.triu_indices(n, 1)
+        block = SLOPE_BLOCK_ENTRIES // listed
+        slopes = np.empty(x_columns.size)
+        for start in range(0, x_columns.size, block):
+            part = slice(start, start + block)
+            x = np.ldexp(X[:, x_columns[part]].T, -ex[part, None], order="C")
+            y = np.ldexp(Y[:, y_columns[part]].T, -ey[part, None], order="C")
+            slopes[part] = _listed_slopes(x, y, tau, k, i, j)
+    with np.errstate(over="ignore"):
+        slopes = np.ldexp(slopes, ey - ex)
+    if not np.isfinite(slopes).all():
+        raise SolverFailure("a quantile slope does not fit in a double")
     return slopes

@@ -7,7 +7,8 @@ regression from exhaustive vertex enumeration (its optimum, or the
 lexicographically smallest of its optimal vertices) or from its primal
 linear program, one-regressor quantile slopes from a list of every
 pairwise slope, the mean-based fit from a straight-line
-transcription of the classical recursion, and CSV files from ``csv`` and
+transcription of the classical recursion, the quantile fit from these
+pieces composed in a straight line, and CSV files from ``csv`` and
 one ``float`` call per cell.
 """
 
@@ -272,6 +273,67 @@ def reference_nipals(X, Y, n_components):
         "x_mean": x_mean,
         "y_mean": y_mean,
     }
+
+
+def reference_fpqr(X, Y, h, tau, metric):
+    """Straight-line quantile fit composed from the oracles above.
+
+    Each round takes the cross product from ``li_cross_product`` or, for
+    ``dodge`` and ``choi``, from ``listed_quantile_slopes`` times the
+    variances (``choi``: the signed geometric mean of both directions, 0 where
+    their slopes disagree in sign), the direction from
+    ``dense_leading_eigenpair``, and deflates both blocks by its score. It
+    stops as the package does: on a cross product at most 1e-12 of the first
+    round's Frobenius norm (at round 0 only an exact zero), or a score whose
+    squared norm is at most ``(1e-12 ||X0||_F)**2``. The inner fit is
+    ``primal_quantile_lp`` on ``[1, T]`` per centered response, and the
+    coefficients are ``W (P^T W)^-1 gamma``.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    x_mean, y_mean = X.mean(axis=0), Y.mean(axis=0)
+    Xa, Ya = X - x_mean, Y - y_mean
+    Y0 = Ya.copy()
+    n, m = X.shape
+    l = Y.shape[1]
+    min_tt = (1e-12 * np.linalg.norm(Xa)) ** 2
+    pairs = [(j, k) for j in range(m) for k in range(l)]
+    first = None  # the first round's norm
+    ws, ps, ts = [], [], []
+    for _ in range(h):
+        if metric == "li":
+            S = li_cross_product(Xa, Ya, tau)
+        else:
+            xs, ys = [j for j, _ in pairs], [k for _, k in pairs]
+            b21 = listed_quantile_slopes(Xa, Ya, tau, xs, ys)
+            dodge = Xa.var(axis=0)[xs] * b21
+            if metric == "dodge":
+                values = dodge
+            else:
+                b12 = listed_quantile_slopes(Ya, Xa, tau, ys, xs)
+                values = np.where(b21 * b12 < 0, 0.0, np.sign(b21) * np.sqrt(np.abs(dodge * Ya.var(axis=0)[ys] * b12)))
+            S = values.reshape(m, l)
+        size = np.linalg.norm(S)
+        first = size if first is None else first
+        if size <= 1e-12 * first:
+            break
+        w = orient(dense_leading_eigenpair(S @ S.T)[0])
+        t = Xa @ w
+        tt = float(t @ t)
+        if tt <= min_tt:
+            break
+        p = Xa.T @ t / tt
+        Xa = Xa - np.outer(t, p)
+        Ya = Ya - np.outer(t, Ya.T @ t / tt)
+        ws.append(w)
+        ps.append(p)
+        ts.append(t)
+    W, P, T = (np.column_stack(c) if c else np.zeros((rows, 0)) for c, rows in ((ws, m), (ps, m), (ts, n)))
+    params = np.column_stack([primal_quantile_lp(np.column_stack([np.ones(n), T]), Y0[:, k], tau) for k in range(l)])
+    gamma, intercepts = params[1:], params[0]
+    coefficients = W @ np.linalg.solve(P.T @ W, gamma) if ws else np.zeros((m, l))
+    return {"W": W, "T": T, "gamma": gamma, "intercepts": intercepts, "coefficients": coefficients,
+            "x_mean": x_mean, "y_mean": y_mean}
 
 
 def read_csv_by_cell(path):

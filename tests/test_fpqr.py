@@ -10,7 +10,7 @@ from fpqr import QcovMetric, empirical_quantile, fit_fpqr, fit_pls, fit_quantile
 from fpqr.evaluate import ModelRecipe, cross_validate, generate_simulation, make_simulation_spec, parse_recipe
 from fpqr.exceptions import DimensionMismatch
 
-from _oracles import check_loss_mean, local_minimum_certificate
+from _oracles import check_loss_mean, local_minimum_certificate, reference_fpqr
 
 
 def make_data(seed, n=60, m=6, l=2, noise="normal"):
@@ -60,6 +60,37 @@ class TestEquivalenceWithMeanFit:
         X, Y, _ = make_data(5)
         with pytest.raises(ValueError, match="least_squares_gamma"):
             fit_fpqr(X, Y, metric="classical")
+
+
+def reference_cases(seed, count=10):
+    # Small random fits whose inner optima are unique: n * tau is never an
+    # integer, and the noise is continuous.
+    rng = np.random.default_rng(seed)
+    while count:
+        n, m, l = int(rng.integers(12, 40)), int(rng.integers(2, 7)), int(rng.integers(1, 3))
+        tau = float(rng.choice([0.3, 0.5, 0.71]))
+        if float(n * tau).is_integer():
+            continue
+        X = rng.normal(size=(n, m))
+        count -= 1
+        yield X, X @ rng.normal(size=(m, l)) + rng.standard_t(2, size=(n, l)), int(rng.integers(1, min(4, m) + 1)), tau
+
+
+@pytest.mark.filterwarnings("ignore::fpqr.exceptions.DiscordantSlopesWarning")
+@pytest.mark.parametrize("seed, metric", [(1, "li"), (2, "dodge"), (3, "choi")])
+def test_whole_fit_matches_the_composed_reference(seed, metric):
+    # The composition end to end: centering, deflation of both blocks by the
+    # right score, the stop rule, the inner intercept and the component count.
+    for X, Y, h, tau in reference_cases(seed):
+        model = fit_fpqr(X, Y, h, tau=tau, metric=metric)
+        ref = reference_fpqr(X, Y, h, tau, metric)
+        assert model.effective_components == ref["W"].shape[1]
+        assert_allclose(model.decomposition.weights, ref["W"], rtol=0, atol=1e-9)
+        scale = np.abs(ref["coefficients"]).max()
+        assert_allclose(model.coefficients, ref["coefficients"], rtol=0, atol=1e-9 * scale)
+        assert_allclose(model.intercepts, ref["intercepts"], rtol=0, atol=1e-9 * (1.0 + np.abs(ref["intercepts"]).max()))
+        assert_array_equal(model.x_centers, ref["x_mean"])
+        assert_array_equal(model.y_centers, ref["y_mean"])
 
 
 class TestInnerQuantileFit:

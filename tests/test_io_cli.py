@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -94,6 +97,112 @@ class TestReadDataset:
         names, data = read_dataset(path)
         assert names == ["a", "b"]
         assert_array_equal(data, [[1.0, 2.0]])
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def wide_table(tmp_path_factory):
+    # 2000 x 100 doubles: a 1.5 MiB array and a 3.9 MB CSV.
+    table = np.random.default_rng(38).standard_normal((2000, 100))
+    path = tmp_path_factory.mktemp("wide") / "t.csv"
+    write_matrix_csv(path, [f"c{j}" for j in range(100)], table)
+    return path, table
+
+
+class TestBoundedMemory:
+    def test_reader_holds_about_the_result(self, wide_table):
+        # The body streams into loadtxt: neither its text nor a list of its
+        # lines is held. Peaks: 11.3 MiB when they were, 1.9 MiB streamed.
+        path, table = wide_table
+        (_, data), peak = traced_peak(lambda: read_dataset(path))
+        assert data.tobytes() == table.tobytes()
+        assert peak < 2 * table.nbytes
+
+    def test_writer_holds_a_row_at_a_time(self, wide_table, tmp_path):
+        # Peaks: 6.4 MiB with every cell a Python float at once, 0.14 MiB by rows.
+        path, table = wide_table
+        _, peak = traced_peak(lambda: write_matrix_csv(tmp_path / "o.csv", [f"c{j}" for j in range(100)], table))
+        assert (tmp_path / "o.csv").read_bytes() == path.read_bytes()
+        assert peak < table.nbytes / 4
+
+
+def through_pipe(path, data, call):
+    """``call(path)`` on a named pipe that another thread fills with ``data``.
+
+    The call runs in a thread too, so a read that blocks (reopening the pipe
+    would) fails the test after a timeout instead of hanging it.
+    """
+    os.mkfifo(path)
+    outcome = {}
+
+    def fill():
+        try:
+            with open(path, "wb") as handle:
+                handle.write(data)
+        except BrokenPipeError:  # the reader stopped at a fault
+            pass
+
+    def read():
+        try:
+            outcome["result"] = call(str(path))
+        except Exception as exc:  # re-raised below, in the test's thread
+            outcome["error"] = exc
+
+    threads = [threading.Thread(target=target, daemon=True) for target in (fill, read)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads), "reading the pipe blocked"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+class TestNamedPipe:
+    """A pipe cannot seek, so the reader keeps what it read to read it again."""
+
+    @pytest.fixture
+    def table(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_matrix_csv(path, list("abcde"), np.random.default_rng(39).standard_normal((300, 5)))
+        return path
+
+    def test_well_formed_body_reads_as_the_file_does(self, table, tmp_path):
+        header, data = through_pipe(tmp_path / "pipe", table.read_bytes(), read_dataset)
+        file_header, file_data = read_dataset(table)
+        assert header == file_header
+        assert data.tobytes() == file_data.tobytes()
+
+    @pytest.mark.parametrize("fault", ["1,2,x,4,5", "", '1,"2,3,4,5'], ids=["cell", "blank", "quote"])
+    def test_malformed_body_names_the_line_the_file_does(self, table, tmp_path, fault):
+        lines = table.read_text().split("\n")
+        lines[200] = fault
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines))
+        with pytest.raises(DataError) as from_file:
+            read_dataset(bad)
+        with pytest.raises(DataError) as from_pipe:
+            through_pipe(tmp_path / "pipe", bad.read_bytes(), read_dataset)
+        assert "line 201" in str(from_file.value)
+        assert str(from_pipe.value) == str(from_file.value).replace(str(bad), str(tmp_path / "pipe"))
+
+    def test_cli_exits_3_without_a_traceback(self, table, tmp_path, capsys):
+        lines = table.read_bytes().split(b"\n")
+        lines.insert(150, b"1,2,x,4,5")
+        argv = lambda path: ["fit", "--data", path, "--response-cols", "e", "--out", str(tmp_path / "m.json")]
+        assert through_pipe(tmp_path / "pipe", b"\n".join(lines), lambda path: main(argv(path))) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 151, column 'c'" in err and "Traceback" not in err
 
 
 class TestSplitResponseColumns:

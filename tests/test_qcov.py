@@ -252,6 +252,20 @@ class TestQcovMatrix:
         for j in kept:
             assert quantreg._solve_lp(np.column_stack([np.ones(n), X[:, j]]), y, 0.5)[2].all(), j
 
+    @pytest.mark.parametrize("n", [20, 400], ids=["listing", "simplex"])
+    @pytest.mark.parametrize("kind", ["dodge", "choi"])
+    def test_regressor_whose_squares_underflow_is_fitted(self, kind, n):
+        # The squares of x = 0..n-1 times 1e-170 underflow to 0, yet the simplex
+        # fits x (slope about 1e170). Its entry is fitted, not zeroed, and is
+        # 2**-600 times that of x * 2**600, exactly; var(x) alone is below the
+        # smallest double.
+        x = np.arange(n) * 1e-170
+        y = np.arange(n) + np.random.default_rng(n).normal(size=n)
+        metric = QcovMetric(kind, tau=0.5)
+        value = qcov_matrix(x[:, None], y[:, None], metric)[0, 0]
+        assert value != 0.0
+        assert value == np.ldexp(qcov_matrix(np.ldexp(x, 600)[:, None], y[:, None], metric)[0, 0], -600)
+
     def test_row_count_mismatch(self):
         from fpqr.exceptions import DimensionMismatch
 

@@ -239,6 +239,14 @@ class TestFitQuantileRegression:
         with pytest.raises(SolverFailure, match="does not fit in a double"):
             fit_quantile_regression(x, [0.0, 1e10, 2e10, 3e10], 0.5)
 
+    def test_regressor_whose_squares_overflow_is_kept(self):
+        # The sum of squares of x = 0..19 times 1e200 overflows a double; the QR
+        # rule must still keep x, not drop it and return slope 0.
+        x = np.arange(20.0) * 1e200
+        y = 3.0 * x + np.random.default_rng(36).normal(size=20)
+        fit = fit_quantile_regression(x[:, None], y, 0.5)
+        assert fit.coefficients[0] == pytest.approx(3.0, rel=1e-12)
+
 
 def fitted_objective(X, y, tau, with_intercept=True):
     # The fit's objective; without an intercept column, that of the solver
@@ -633,6 +641,25 @@ class TestQuantileSlopes:
         x = np.array([[1e-300], [2e-300], [3e-300], [4e-300]])
         with pytest.raises(SolverFailure, match="does not fit in a double"):
             paired_slopes(x, np.array([[0.0], [1e10], [2e10], [3e10]]), 0.5)
+
+    @pytest.mark.parametrize("entries", [quantreg.SLOPE_BLOCK_ENTRIES, 1], ids=["listing", "simplex"])
+    def test_slope_beyond_a_double_raises_solver_failure(self, entries, monkeypatch):
+        # Every pairwise slope is about 1e310. The listing used to overflow
+        # them to -inf and return one, with only numpy's RuntimeWarning.
+        monkeypatch.setattr(quantreg, "SLOPE_BLOCK_ENTRIES", entries)
+        x = np.random.default_rng(35).permutation(20) * 1e-150
+        with pytest.raises(SolverFailure, match="does not fit in a double"):
+            paired_slopes(x[:, None], np.arange(20.0)[:, None] * 1e160, 0.5)
+
+    @pytest.mark.parametrize("entries", [quantreg.SLOPE_BLOCK_ENTRIES, 1], ids=["listing", "simplex"])
+    def test_slopes_scale_exactly_far_from_one(self, entries, monkeypatch):
+        # x scaled by 2**-400 and y by 2**600 scale every slope by 2**1000,
+        # bit for bit, though squares of y's residuals would overflow.
+        monkeypatch.setattr(quantreg, "SLOPE_BLOCK_ENTRIES", entries)
+        rng = np.random.default_rng(37)
+        X = rng.normal(size=(30, 3))
+        Y = X + rng.standard_t(2, size=(30, 3))
+        assert_array_equal(paired_slopes(np.ldexp(X, -400), np.ldexp(Y, 600), 0.4), np.ldexp(paired_slopes(X, Y, 0.4), 1000))
 
     @pytest.mark.parametrize("tau", [0.25, 0.5, 0.7])
     def test_search_without_listing_agrees(self, tau, monkeypatch):
