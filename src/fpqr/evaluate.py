@@ -214,7 +214,7 @@ def cross_validate(X, Y, candidates, folds=5, fitter=None, seed=0):
 # ---------------------------------------------------------------------------
 # simulation schemes
 
-# name: (train rows, predictors, responses, components, error laws, default test size)
+# name: (train rows, predictors, responses, components, error laws, test rows)
 SCHEMES = {
     "sim1": (100, 100, 1, 30, ("chi2_3",), 500),
     "sim2": (100, 100, 3, 30, ("chi2_3",), 500),
@@ -238,11 +238,10 @@ _STREAMS = {
 
 @dataclass(frozen=True)
 class SimulationSpec:
-    """Noise law and bookkeeping for one benchmark scheme, which fixes the sizes."""
+    """Noise law and bookkeeping for one benchmark scheme, which fixes every size, the test size among them."""
 
     scheme: str
     error_law: str
-    test_size: int
     repetitions: int
     seed: int
 
@@ -250,6 +249,7 @@ class SimulationSpec:
     n_features = property(lambda self: SCHEMES[self.scheme][1])
     n_responses = property(lambda self: SCHEMES[self.scheme][2])
     n_components = property(lambda self: SCHEMES[self.scheme][3])
+    test_size = property(lambda self: SCHEMES[self.scheme][5])
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -257,26 +257,22 @@ class SimulationSpec:
         allowed = SCHEMES[self.scheme][4]
         if self.error_law not in allowed:
             raise InvalidSpec(f"scheme {self.scheme} supports error laws {allowed}, got {self.error_law!r}")
-        for name in ("test_size", "repetitions", "seed"):
+        for name in ("repetitions", "seed"):
             try:
                 object.__setattr__(self, name, as_count(getattr(self, name), name))
             except ValueError as exc:
                 raise InvalidSpec(str(exc)) from None
-        if self.test_size < 1:
-            raise InvalidSpec("test_size must be positive")
         if self.repetitions < 1:
             raise InvalidSpec("repetitions must be positive")
         if self.seed < 0:
             raise InvalidSpec("seed must be non-negative")
 
 
-def make_simulation_spec(scheme, error_law=None, repetitions=100, seed=0, test_size=None):
-    """Build a :class:`SimulationSpec`, filling in the scheme's default error law and test size."""
-    if scheme in SCHEMES:  # any other scheme reaches SimulationSpec as given, which rejects it
-        *_, laws, default_test_size = SCHEMES[scheme]
-        error_law = laws[0] if error_law is None else error_law
-        test_size = default_test_size if test_size is None else test_size
-    return SimulationSpec(scheme, error_law, test_size, repetitions, seed)
+def make_simulation_spec(scheme, error_law=None, repetitions=100, seed=0):
+    """Build a :class:`SimulationSpec`, by default with the scheme's first error law; the scheme fixes every size."""
+    if scheme in SCHEMES and error_law is None:  # any other scheme reaches SimulationSpec, which rejects it
+        error_law = SCHEMES[scheme][4][0]
+    return SimulationSpec(scheme, error_law, repetitions, seed)
 
 
 def _stream(spec, repetition, role):
@@ -290,9 +286,7 @@ def _draw_noise(rng, law, shape):
         return rng.standard_normal(shape)
     if law == "t1":
         return rng.standard_t(1.0, shape)
-    if law == "slash":
-        return rng.standard_normal(shape) / rng.uniform(size=shape)
-    raise InvalidSpec(f"unknown error law {law!r}")
+    return rng.standard_normal(shape) / rng.uniform(size=shape)  # slash: SimulationSpec admits no other law
 
 
 def generate_simulation(spec, repetition):
@@ -345,7 +339,6 @@ class EvalReport:
 
     model_tag: str
     repetition: int
-    seed: int
     beta_distance: float
     test_mse: float
     quantile_error: float
@@ -427,7 +420,6 @@ def run_study(spec, recipes):
                 EvalReport(
                     model_tag=recipe.tag,
                     repetition=repetition,
-                    seed=spec.seed,
                     beta_distance=beta_distance(model.coefficients, B_true),
                     test_mse=test_mse(Y_test, predicted),
                     quantile_error=quantile_error(Y_test, predicted, tau),

@@ -40,12 +40,11 @@ def read_dataset(path):
     double-quoted as :mod:`csv` quotes, provided the quote closes on the same
     line. Blank lines are rejected, and ``#`` starts no comment.
 
-    A well-formed body is parsed in one call that streams its lines from the
-    open file, so the body text is never held whole: peak memory is about
-    the result. Any other body is read again from its first line, line by
-    line, through the same handle. A file is read again by seeking back; the
-    lines of a pipe, which cannot seek, are kept as they are read. The path
-    is opened once, so a named pipe works.
+    The body is parsed in one call, the only one that returns data, which
+    streams its lines from the open file: peak memory is about the result. A
+    body it refuses is walked again from its first line only to name the first
+    faulty one: a file by seeking back, a pipe from the lines kept as they
+    were read. The path is opened once, so a named pipe works.
     """
     try:
         with open(path, encoding="utf-8-sig") as handle:
@@ -73,10 +72,9 @@ def read_dataset(path):
                 return header, data
             if kept is None:
                 handle.seek(start)
-            lines = itertools.chain(kept or [], handle)
-            first = reader.line_num + 1  # the file line of the body's first line
-            rows = [_read_line(f"{path}: line {first + i}", header, line.rstrip("\n")) for i, line in enumerate(lines)]
-            return header, np.vstack(rows)
+            for number, line in enumerate(itertools.chain(kept or [], handle), reader.line_num + 1):
+                _check_line(f"{path}: line {number}", header, line.rstrip("\n"))
+            raise AssertionError(f"{path}: loadtxt refused the body but no line of it")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -87,8 +85,8 @@ def read_dataset(path):
 
 def _read_whole(lines, width, kept):
     """The body ``lines`` as one (rows, width) array from one loadtxt call, or
-    None where it must be read line by line; ``kept``, unless None, collects
-    every line taken from ``lines``."""
+    None where a line is faulty; ``kept``, unless None, collects every line
+    taken from ``lines``."""
     rows = 0
 
     def checked():
@@ -98,9 +96,9 @@ def _read_whole(lines, width, kept):
                 kept.append(line)
             line = line.rstrip("\n")
             # loadtxt would skip a blank line and carry an unclosed quote on
-            # into the next line; reading line by line names the fault.
+            # into the next line; checking line by line names the fault.
             if not line or '"' in line and not _QUOTES_CLOSE.fullmatch(line):
-                raise ValueError("read the body line by line")
+                raise ValueError("check the body line by line")
             rows += 1
             yield line
 
@@ -121,8 +119,8 @@ _CELL = r'(?:"(?:[^"]|"")*"(?:[^,"][^,]*)?|(?:[^,"][^,]*)?)'
 _QUOTES_CLOSE = re.compile(rf"{_CELL}(?:,{_CELL})*")
 
 
-def _read_line(where, header, line):
-    """One body line as a (1, width) row, or a DataError, prefixed by ``where``, for its first fault."""
+def _check_line(where, header, line):
+    """Raise a DataError, prefixed by ``where``, for the first fault of one body line, if it has one."""
     if '"' in line and not _QUOTES_CLOSE.fullmatch(line):
         raise DataError(f"{where}: a quoted cell does not close on its line")
     try:
@@ -130,7 +128,7 @@ def _read_line(where, header, line):
     except ValueError:
         row = None
     if row is not None and row.shape == (1, len(header)) and np.isfinite(row).all():
-        return row
+        return
     # Split as loadtxt splits; "" has no cells, as csv reads a blank line.
     cells = np.loadtxt([line], dtype=object, ndmin=1, **_DIALECT) if line else []
     if len(cells) != len(header):
@@ -148,7 +146,7 @@ def _read_line(where, header, line):
 
 
 def split_response_columns(header, data, response_names):
-    """Split one table into predictor and response blocks by column name."""
+    """Split one table into predictor and response blocks by column name, each in C order as the fit reads it."""
     missing = [name for name in response_names if name not in header]
     if missing:
         raise DataError(f"response column(s) {missing} not found; available: {header}")
@@ -160,7 +158,7 @@ def split_response_columns(header, data, response_names):
         raise DataError("no predictor columns remain after removing the responses")
     x_names = [header[j] for j in predictor_idx]
     y_names = [header[j] for j in response_idx]
-    return data[:, predictor_idx], data[:, response_idx], x_names, y_names
+    return np.take(data, predictor_idx, axis=1), np.take(data, response_idx, axis=1), x_names, y_names
 
 
 def write_matrix_csv(path, header, matrix):
@@ -232,8 +230,9 @@ def load_model(path):
     Returns ``(model, metadata)``. Any version other than
     ``MODEL_FORMAT_VERSION`` is rejected. :class:`~fpqr.pls.FittedModel`
     rebuilds the coefficients from the stored weights, x-loadings and inner
-    coefficients, as the fit built them. Stored ``coefficients`` and
-    ``y_loadings`` are ignored: the decomposition has neither y-loadings nor scores.
+    coefficients, as the fit built them. Centering mode ``"none"`` requires
+    all-zero centers. Stored ``coefficients`` and ``y_loadings`` are ignored:
+    the decomposition has neither y-loadings nor scores.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -278,6 +277,8 @@ def load_model(path):
     center = metadata.get("center", "mean")
     if center not in CENTERING_MODES:
         raise ModelFormatError(f"{path}: metadata 'center' {center!r} is not one of {CENTERING_MODES}")
+    if center == "none" and (x_centers.any() or y_centers.any()):
+        raise ModelFormatError(f"{path}: metadata 'center' is 'none', but the payload's centers are not all zero")
     metric = metadata.get("metric")
     if metric not in (None, "custom", *METRIC_KINDS):
         raise ModelFormatError(f"{path}: metadata 'metric' {metric!r} is not a known metric")

@@ -303,6 +303,10 @@ def _listed_slopes(x, y, tau, k, i, j):
     # slope b the residuals keep their order, except that residuals tied at b
     # (within a few units of rounding of the row's largest |y| and |x|) order
     # by decreasing x; xp is the x of the k-th residual in that order.
+    # Equal x give no breakpoint (inf, sorted last). An overflowing slope is a
+    # breakpoint beyond the double range (-inf or inf), left out of the bisection:
+    # its two x are within 2**-1022, so near 0 and far from the row of largest |x|,
+    # which makes the loss rise beyond the finite breakpoints on either side.
     rows = np.arange(x.shape[0])
     steep = -_FLAT_RTOL * np.abs(x - x.mean(axis=1, keepdims=True)).sum(axis=1)
     y_size, x_size = np.abs(y).max(axis=1), np.abs(x).max(axis=1)
@@ -310,10 +314,11 @@ def _listed_slopes(x, y, tau, k, i, j):
     dx -= np.take(x, j, axis=1)
     dy = np.take(y, i, axis=1)
     dy -= np.take(y, j, axis=1)
-    points = np.divide(dy, dx, out=np.full_like(dx, np.inf), where=dx != 0.0)
+    with np.errstate(over="ignore"):
+        points = np.divide(dy, dx, out=np.full_like(dx, np.inf), where=dx != 0.0)
     points.sort(axis=1)
-    lo = np.zeros(rows.size, dtype=np.intp)
-    hi = np.isfinite(points).sum(axis=1) - 1
+    lo = np.isfinite(points).argmax(axis=1)
+    hi = (points < np.inf).sum(axis=1) - 1
     while (lo < hi).any():
         open_ = lo < hi
         mid = (lo + hi) // 2

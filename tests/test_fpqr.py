@@ -199,6 +199,11 @@ class TestMetricChoices:
         with pytest.raises(ValueError):
             fit_fpqr(X, Y, tau=1.0)
 
+    def test_custom_metric_shape_checked(self):
+        X, Y, _ = make_data(12)
+        with pytest.raises(ValueError, match=r"cross product returned shape \(1, 1\)"):
+            fit_fpqr(X, Y, metric=lambda Xa, Ya: np.ones((1, 1)))
+
 
 class TestDegenerateInputs:
     def test_zero_signal_falls_back_to_quantile_intercepts(self):

@@ -91,6 +91,14 @@ class TestReadDataset:
         with pytest.raises(DataError, match="non-finite"):
             read_dataset(path)
 
+    def test_invalid_utf8_past_the_first_block(self, tmp_path):
+        # The header's read decodes only the first 8 KB; this byte is decoded
+        # while loadtxt streams the body.
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"a,b\n" + b"1,2\n" * 4000 + b"3,\xff\n")
+        with pytest.raises(DataError, match="is not valid UTF-8"):
+            read_dataset(path)
+
     def test_utf8_bom_is_stripped(self, tmp_path):
         path = tmp_path / "bom.csv"
         path.write_bytes("\ufeffa,b\n1,2\n".encode("utf-8"))
@@ -214,10 +222,15 @@ class TestSplitResponseColumns:
         assert y_names == ["c", "a"]
         assert_array_equal(X, data[:, [1, 3]])
         assert_array_equal(Y, data[:, [2, 0]])
+        assert X.flags.c_contiguous and Y.flags.c_contiguous  # the layout the fit reads, so it copies neither
 
     def test_missing_column(self):
         with pytest.raises(DataError, match="not found"):
             split_response_columns(["a", "b"], np.ones((2, 2)), ["z"])
+
+    def test_duplicate_response_names(self):
+        with pytest.raises(DataError, match="must be unique"):
+            split_response_columns(["a", "b", "c"], np.ones((2, 3)), ["a", "a"])
 
     def test_no_predictors_left(self):
         with pytest.raises(DataError, match="no predictor columns"):
@@ -337,6 +350,14 @@ class TestModelFile:
         with pytest.raises(ModelFormatError, match="not valid JSON"):
             load_model(path)
 
+    def test_unreadable_or_non_object_file_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read"):
+            load_model(tmp_path / "absent.json")
+        path = tmp_path / "model.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ModelFormatError, match="expected a JSON object"):
+            load_model(path)
+
     def test_missing_payload_field(self, tmp_path):
         _, model = self.fit_small()
         path = tmp_path / "model.json"
@@ -359,8 +380,10 @@ class TestModelFile:
             ("payload", "x_loadings", [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
             ("metadata", "method", "pls"),
             ("metadata", "tau", None),
+            ("metadata", "center", "none"),  # the fit's centers are not zero
         ],
-        ids=["tau", "center", "metric", "x_columns", "gamma", "x_loadings", "singular", "method", "tau-null"],
+        ids=["tau", "center", "metric", "x_columns", "gamma", "x_loadings", "singular", "method", "tau-null",
+             "center-none"],
     )
     def test_tampered_field_rejected(self, tmp_path, block, key, value):
         _, model = self.fit_small()
@@ -432,6 +455,8 @@ class TestModelFile:
         _, model = self.fit_small()
         with pytest.raises(ValueError, match="x_columns"):
             save_model(model, tmp_path / "m.json", ["a"], ["u", "v"])
+        with pytest.raises(ValueError, match="y_columns"):
+            save_model(model, tmp_path / "m.json", ["a", "b", "c"], ["u"])
 
     def test_zero_component_model_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fpqr import center_columns, leading_left_singular_vector
+from fpqr.linalg import as_matrix
 from fpqr.exceptions import AllZeroCrossProduct
 
 from _oracles import dense_leading_eigenpair, orient
@@ -35,6 +36,13 @@ class TestCenterColumns:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             center_columns([[np.nan, 1.0]])
+
+    @pytest.mark.parametrize(
+        "shape, message", [((2, 2, 2), "must be 2-d, got 3-d"), ((0, 3), "must be non-empty")], ids=["3-d", "empty"]
+    )
+    def test_not_a_non_empty_matrix_rejected(self, shape, message):
+        with pytest.raises(ValueError, match=message):
+            as_matrix(np.ones(shape), "M")
 
 
 class TestLeadingLeftSingularVector:

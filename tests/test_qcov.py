@@ -82,6 +82,11 @@ class TestQcovLi:
         with pytest.raises(ValueError, match="at least 2"):
             qcov_li([1.0], [2.0], 0.5)
 
+    @pytest.mark.parametrize("metric", [qcov_li, qcov_dodge])
+    def test_non_finite_rejected(self, metric):
+        with pytest.raises(ValueError, match="non-finite"):
+            metric([1.0, 2.0, 3.0], [1.0, np.nan, 3.0], 0.5)
+
 
 class TestQcovDodge:
     def test_exact_line(self):
@@ -271,6 +276,10 @@ class TestQcovMatrix:
 
         with pytest.raises(DimensionMismatch):
             qcov_matrix(np.ones((4, 2)), np.ones((5, 2)), QcovMetric("classical"))
+
+    def test_single_row_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 rows"):
+            qcov_matrix(np.ones((1, 2)), np.ones((1, 2)), QcovMetric("li", 0.5))
 
 
 class TestMetricTag:

@@ -98,6 +98,10 @@ class TestEmpiricalQuantile:
         with pytest.raises(ValueError, match="empty"):
             empirical_quantile([], 0.5)
 
+    def test_non_finite_raises(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            empirical_quantile([1.0, np.nan], 0.5)
+
 
 class TestFitQuantileRegression:
     @pytest.mark.parametrize("tau", [0.2, 0.5, 0.8])
@@ -232,6 +236,14 @@ class TestFitQuantileRegression:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             fit_quantile_regression(np.ones((3, 1)), [1.0, np.inf, 2.0], 0.5)
+        with pytest.raises(ValueError, match="X contains non-finite"):
+            fit_quantile_regression([[1.0], [np.nan], [2.0]], [1.0, 2.0, 3.0], 0.5)
+
+    def test_empty_y_or_3d_x_rejected(self):
+        with pytest.raises(ValueError, match="y is empty"):
+            fit_quantile_regression(np.ones((0, 1)), [], 0.5)
+        with pytest.raises(ValueError, match="X must be 2-d, got 3-d"):
+            fit_quantile_regression(np.ones((3, 1, 1)), [1.0, 2.0, 3.0], 0.5)
 
     def test_overflowing_optimum_raises_solver_failure(self):
         # The exact slope, 1e310, does not fit in a double.
@@ -650,6 +662,27 @@ class TestQuantileSlopes:
         x = np.random.default_rng(35).permutation(20) * 1e-150
         with pytest.raises(SolverFailure, match="does not fit in a double"):
             paired_slopes(x[:, None], np.arange(20.0)[:, None] * 1e160, 0.5)
+
+    def test_subnormal_x_gap_lists_without_overflow(self, monkeypatch):
+        # Beside the 1e10 spread, x = 0 and 1e-300 lie a subnormal gap apart in
+        # binary units, so their pairwise slope overflows. The listing used to
+        # raise numpy's overflow warning there.
+        rng = np.random.default_rng(0)
+        x = np.concatenate([[0.0, 1e-300], rng.standard_normal(18) * 1e10])[:, None]
+        y = rng.standard_normal((20, 1)) * 1e-300
+        listed = paired_slopes(x, y, 0.5)
+        monkeypatch.setattr(quantreg, "SLOPE_BLOCK_ENTRIES", 1)
+        assert listed.tobytes() == paired_slopes(x, y, 0.5).tobytes()
+
+    def test_largest_finite_breakpoint_beside_an_overflowed_one(self, monkeypatch):
+        # The pairwise slopes are about -1e310, 1 and 2, and at tau = 0.2 the
+        # optimum is 2. The overflowed slope, sorted first as -inf, used to
+        # cut the largest finite one from the bisected range.
+        x = np.array([[0.0], [1e-300], [1e10]])
+        y = np.array([[0.0], [-1e10], [1e10]])
+        listed = paired_slopes(x, y, 0.2)
+        monkeypatch.setattr(quantreg, "SLOPE_BLOCK_ENTRIES", 1)
+        assert listed.tobytes() == paired_slopes(x, y, 0.2).tobytes() == np.array([2.0]).tobytes()
 
     @pytest.mark.parametrize("entries", [quantreg.SLOPE_BLOCK_ENTRIES, 1], ids=["listing", "simplex"])
     def test_slopes_scale_exactly_far_from_one(self, entries, monkeypatch):
