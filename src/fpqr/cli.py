@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Subcommands: ``fit``, ``predict``, ``cv``, ``simulate``. Exit codes: 0 on
-success, 2 for argument problems, 3 for data problems, 4 for solver failures.
+Subcommands: ``fit``, ``predict``, ``cv``, ``simulate``. Exit codes: 0 on success, 2 for argument
+problems, 3 for data problems or an output that cannot be written, 4 for solver failures.
 """
 
 import argparse
@@ -250,6 +250,8 @@ def main(argv=None):
     try:
         return int(args.func(args))
     except (DataError, DimensionMismatch) as exc:
+        return _fail(str(exc), EXIT_DATA)
+    except OSError as exc:  # inputs that cannot be read are DataError; this is an output that cannot be written
         return _fail(str(exc), EXIT_DATA)
     except (SolverFailure, RankDeficient, np.linalg.LinAlgError) as exc:
         return _fail(str(exc), EXIT_SOLVER)

@@ -19,7 +19,7 @@ class RankDeficient(RuntimeError):
 
 
 class SolverFailure(RuntimeError):
-    """The quantile-regression simplex reached its pivot cap without an optimal vertex, or its optimum overflows a double."""
+    """A quantile-regression simplex ran out of pivots, or its optimum or a dodge/choi value overflows a double."""
 
 
 class DimensionMismatch(ValueError):

@@ -239,7 +239,7 @@ def load_model(path):
             doc = json.load(handle)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, int-digit limit, nesting
         raise ModelFormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelFormatError(f"{path}: expected a JSON object at the top level")

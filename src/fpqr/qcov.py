@@ -23,6 +23,7 @@ import numpy as np
 from .exceptions import (
     DimensionMismatch,
     DiscordantSlopesWarning,
+    SolverFailure,
     ZeroVarianceWarning,
     warn,
 )
@@ -78,14 +79,14 @@ def qcov_li(z1, z2, tau):
 def _slope_values(kind, X, Y, tau, correlation=False):
     # Dodge or choi values between every column of X and of Y, flattened row-major. A degenerate pair
     # (a regressor the QR rule drops; for choi also discordant slopes) warns, naming its entry (j, k), and gets 0.
-    # The variances are taken in binary units (see quantile_slopes) and scaled back last, exactly, so
-    # that neither a square nor a product over- or underflows where the value itself fits in a double.
+    # Variances, slopes and their products stay in binary units (see quantile_slopes); each value returns to
+    # real units in one exact ldexp, so nothing over- or underflows where the value itself fits in a double.
     m, l = X.shape[1], Y.shape[1]
     jx = np.repeat(np.arange(m), l)
     jy = np.tile(np.arange(l), m)
     ex, ey = _binary_exponents(X), _binary_exponents(Y)
-    var_x = np.ldexp(X, -ex).var(axis=0)[jx]
-    var_y = np.ldexp(Y, -ey).var(axis=0)[jy]
+    X, Y = np.ldexp(X, -ex), np.ldexp(Y, -ey)
+    var_x, var_y = X.var(axis=0)[jx], Y.var(axis=0)[jy]
     dropped = lambda M: _within_rounding(_column_norms(M - M.mean(axis=0)), M)
     zero = dropped(X)[jx] | (kind == "choi") & dropped(Y)[jy]
     fit = ~zero
@@ -93,14 +94,18 @@ def _slope_values(kind, X, Y, tau, correlation=False):
     b21[fit] = quantile_slopes(X, Y, tau, jx[fit], jy[fit])
     if kind == "dodge":
         discordant = np.zeros_like(zero)
-        values = np.ldexp(var_x * b21, 2 * ex[jx])
+        values = var_x * b21
     else:
         b12 = np.zeros_like(b21)
         b12[fit] = quantile_slopes(Y, X, tau, jy[fit], jx[fit])
         product = b21 * b12
         discordant = fit & (product < 0.0)
-        root, scale = (product, 0) if correlation else ((var_x * b21) * (var_y * b12), ex[jx] + ey[jy])
-        values = np.sign(b21) * np.ldexp(np.sqrt(np.where(discordant, 0.0, root)), scale)
+        root = product if correlation else (var_x * b21) * (var_y * b12)
+        values = np.sign(b21) * np.sqrt(np.where(discordant, 0.0, root))
+    with np.errstate(over="ignore"):
+        values = np.ldexp(values, 0 if correlation else ex[jx] + ey[jy])
+    if np.isinf(values).any():
+        raise SolverFailure("a quantile dependence value does not fit in a double")
     for i in np.flatnonzero(zero | discordant):
         if discordant[i]:
             message, category = "directional quantile slopes disagree in sign", DiscordantSlopesWarning

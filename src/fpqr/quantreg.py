@@ -341,9 +341,12 @@ def quantile_slopes(X, Y, tau, x_columns, y_columns):
     """Exact tau-quantile slope, with a free intercept, of ``Y[:, y_columns[i]]``
     on ``X[:, x_columns[i]]`` for every ``i``.
 
-    ``X`` and ``Y`` are finite with one row count ``n >= 2``, and the QR rule
-    of :func:`fit_quantile_regression` keeps every regressor; callers check
-    that. Returns ``len(x_columns)`` slopes, each the smallest minimiser.
+    ``X`` and ``Y`` are finite with one row count ``n >= 2``, every column
+    is in binary units (scaled by the power of two that brings its largest
+    |entry| into [0.5, 1), so that no intermediate overflows), and the QR
+    rule of :func:`fit_quantile_regression` keeps every regressor; callers
+    check and scale. Returns ``len(x_columns)`` slopes in those units, each
+    the smallest minimiser, zero as +0.0.
 
     While one pair's ``n * (n - 1) / 2`` pairwise slopes fit in
     ``SLOPE_BLOCK_ENTRIES`` (up to 362 rows), they are listed, in blocks of
@@ -366,24 +369,15 @@ def quantile_slopes(X, Y, tau, x_columns, y_columns):
     Past that, each pair is one solve of the simplex behind
     :func:`fit_quantile_regression` on ``[1, x]``, in O(n) memory; it ends on
     the smallest optimal slope too.
-
-    Both run in binary units: ``x`` and ``y`` are each scaled by the power of
-    two that brings their largest |entry| into [0.5, 1), and the slope is
-    scaled back. That is exact, so in range no bit moves, and no intermediate
-    overflows however large or small the columns are. A slope that does not
-    fit in a double once scaled back raises :class:`SolverFailure`.
     """
     n = X.shape[0]
     x_columns = np.asarray(x_columns, dtype=np.intp)
     y_columns = np.asarray(y_columns, dtype=np.intp)
-    ex = _binary_exponents(X)[x_columns]
-    ey = _binary_exponents(Y)[y_columns]
     listed = n * (n - 1) // 2
     if listed > SLOPE_BLOCK_ENTRIES:
         ones = np.ones(n)
         slopes = np.array([
-            _solve_lp(np.column_stack([ones, np.ldexp(X[:, a], -c)]), np.ldexp(Y[:, b], -d), tau)[0][1]
-            for a, b, c, d in zip(x_columns, y_columns, ex, ey)
+            _solve_lp(np.column_stack([ones, X[:, a]]), Y[:, b], tau)[0][1] for a, b in zip(x_columns, y_columns)
         ])
     else:
         k = _quantile_rank(n, tau)
@@ -392,11 +386,6 @@ def quantile_slopes(X, Y, tau, x_columns, y_columns):
         slopes = np.empty(x_columns.size)
         for start in range(0, x_columns.size, block):
             part = slice(start, start + block)
-            x = np.ldexp(X[:, x_columns[part]].T, -ex[part, None], order="C")
-            y = np.ldexp(Y[:, y_columns[part]].T, -ey[part, None], order="C")
+            x, y = np.take(X.T, x_columns[part], axis=0), np.take(Y.T, y_columns[part], axis=0)
             slopes[part] = _listed_slopes(x, y, tau, k, i, j)
-    with np.errstate(over="ignore"):
-        slopes = np.ldexp(slopes, ey - ex)
-    if not np.isfinite(slopes).all():
-        raise SolverFailure("a quantile slope does not fit in a double")
-    return slopes
+    return slopes + 0.0  # a listed dy = 0 over dx < 0 is -0.0; the simplex gives +0.0

@@ -56,6 +56,8 @@ class TestMetrics:
     def test_shape_mismatch(self, fn):
         with pytest.raises(DimensionMismatch):
             fn(np.ones((2, 2)), np.ones((3, 2)))
+        with pytest.raises(ValueError, match="must be 1-d or 2-d"):
+            fn(np.ones((2, 2, 2)), np.ones((2, 2, 2)))
 
 
 class TestParseRecipe:

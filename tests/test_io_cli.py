@@ -345,10 +345,14 @@ class TestModelFile:
             load_model(path)
 
     def test_not_json_rejected(self, tmp_path):
+        # Text, a version of 5,000 digits (past Python's int-digit limit), nesting
+        # deeper than the decoder recurses, and bytes that are not UTF-8.
         path = tmp_path / "model.json"
-        path.write_text("not json at all")
-        with pytest.raises(ModelFormatError, match="not valid JSON"):
-            load_model(path)
+        digits = b'{"format_version": ' + b"1" * 5000 + b"}"
+        for content in [b"not json at all", digits, b"[" * 100000, b'{"\xff": 1}']:
+            path.write_bytes(content)
+            with pytest.raises(ModelFormatError):
+                load_model(path)
 
     def test_unreadable_or_non_object_file_rejected(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
@@ -611,6 +615,24 @@ class TestCliFitPredict:
         assert err.startswith("error: quantile-regression simplex found no optimal vertex in 0 pivots")
         assert "Traceback" not in err
         assert not model_path.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "predict", "cv", "simulate"])
+    def test_unwritable_out_is_exit_3(self, command, xy_files, tmp_path, capsys):
+        x_path, y_path, _, _ = xy_files
+        model_path = str(tmp_path / "m.json")
+        assert main(["fit", "--method", "pls", "--x", x_path, "--y", y_path, "--out", model_path]) == 0
+        out = tmp_path / "no" / "such" / "dir" / "out"
+        args = {
+            "fit": ["--x", x_path, "--y", y_path],
+            "predict": ["--model", model_path, "--x", x_path],
+            "cv": ["--method", "pls", "--x", x_path, "--y", y_path, "--components", "1..2"],
+            "simulate": ["--scheme", "sim3-low", "--error", "t1", "--reps", "1", "--recipes", "pls"],
+        }[command]
+        capsys.readouterr()
+        assert main([command, *args, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+        assert not (tmp_path / "no").exists()
 
 
 class TestCliUsageErrors:

@@ -43,6 +43,8 @@ class TestResolveComponents:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             resolve_components(0, n=10, m=5)
+        with pytest.raises(ValueError, match="need at least 2 rows to extract a component"):
+            fit_pls(np.ones((1, 3)), np.ones((1, 1)))  # a one-row table has no component to give
 
 
 def assert_matches_reference(X, Y, h):

@@ -1,13 +1,16 @@
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from fpqr import QcovMetric, fit_quantile_regression, qcor_choi, qcov_choi, qcov_dodge, qcov_li, qcov_matrix
 from fpqr import quantreg
-from fpqr.exceptions import DimensionMismatch, DiscordantSlopesWarning, ZeroVarianceWarning
+from fpqr.exceptions import DimensionMismatch, DiscordantSlopesWarning, SolverFailure, ZeroVarianceWarning
 
 from _oracles import li_cross_product
 
@@ -115,6 +118,48 @@ class TestQcovDodge:
         # forward: var(x) * 2; reverse: var(y) * 0.5 = 4 var(x) * 0.5
         assert qcov_dodge(x, y, 0.5) == pytest.approx(2.0 * x.var())
         assert qcov_dodge(y, x, 0.5) == pytest.approx(2.0 * x.var())
+
+    @pytest.mark.parametrize("entries", [quantreg.SLOPE_BLOCK_ENTRIES, 1], ids=["listing", "simplex"])
+    def test_slope_beyond_a_double_gives_the_value_that_fits(self, entries, monkeypatch):
+        # Each slope is about 1e310, beyond a double, but variance times slope
+        # fits: 1.25e-290 for four rows, about -9.5e10 for twenty. The slope
+        # stays in binary units, and each value is 2**-(a + b) times that of
+        # x * 2**a and y * 2**b, exactly.
+        monkeypatch.setattr(quantreg, "SLOPE_BLOCK_ENTRIES", entries)
+        permuted = np.random.default_rng(35).permutation(20) * 1e-150
+        for x, y, a, b, value in [
+            (np.arange(1.0, 5.0) * 1e-300, np.arange(4.0) * 1e10, 996, -35, 1.25e-290),
+            (permuted, np.arange(20.0) * 1e160, 494, -538, -9.5e10),
+        ]:
+            got = qcov_dodge(x, y, 0.5)
+            assert got == pytest.approx(value, rel=1e-12)
+            assert got == np.ldexp(qcov_dodge(np.ldexp(x, a), np.ldexp(y, b), 0.5), -a - b)
+
+    @pytest.mark.parametrize("entries", [quantreg.SLOPE_BLOCK_ENTRIES, 1], ids=["listing", "simplex"])
+    def test_value_beyond_a_double_raises_solver_failure(self, entries, monkeypatch):
+        # var(x) is about 3e301 and the slope about 1e10: their product overflows.
+        monkeypatch.setattr(quantreg, "SLOPE_BLOCK_ENTRIES", entries)
+        x = np.random.default_rng(35).permutation(20) * 1e150
+        with pytest.raises(SolverFailure, match="does not fit in a double"):
+            qcov_dodge(x, np.arange(20.0) * 1e160, 0.5)
+
+    def test_zero_has_one_sign_on_both_sides_of_the_listing(self, monkeypatch):
+        # The listed slope 0 is dy = 0 over dx < 0, which numpy signs -0.0;
+        # the simplex gives +0.0.
+        x = np.array([-2.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 2.0, 2.0, 1.0])
+        y = np.array([1.0, 3.0, 1.0, -1.0, -3.0, 0.0, -2.0, 1.0, -3.0, 2.0])
+        listed = np.float64(qcov_dodge(x, y, 0.75))
+        monkeypatch.setattr(quantreg, "SLOPE_BLOCK_ENTRIES", 1)
+        assert listed.tobytes() == np.float64(qcov_dodge(x, y, 0.75)).tobytes() == np.float64(0.0).tobytes()
+
+    @pytest.mark.parametrize("tau", [0.25, 0.5, 0.75])
+    def test_listing_and_simplex_agree_bit_for_bit_on_tied_integers(self, tau, monkeypatch):
+        rng = np.random.default_rng(int(100 * tau))
+        pairs = [(rng.integers(-2, 3, size=n), rng.integers(-3, 4, size=n)) for n in rng.integers(4, 12, size=133)]
+        pairs = [(x.astype(float), y.astype(float)) for x, y in pairs if np.ptp(x) > 0]
+        listed = np.array([qcov_dodge(x, y, tau) for x, y in pairs])
+        monkeypatch.setattr(quantreg, "SLOPE_BLOCK_ENTRIES", 1)
+        assert listed.tobytes() == np.array([qcov_dodge(x, y, tau) for x, y in pairs]).tobytes()
 
 
 class TestChoi:
@@ -280,6 +325,57 @@ class TestQcovMatrix:
     def test_single_row_rejected(self):
         with pytest.raises(ValueError, match="at least 2 rows"):
             qcov_matrix(np.ones((1, 2)), np.ones((1, 2)), QcovMetric("li", 0.5))
+
+
+def recorded(call, *args):
+    # call(*args), or SolverFailure, and the (category, message) of every warning it raised.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call(*args)
+        except SolverFailure:
+            result = SolverFailure
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    law=st.sampled_from(["random", "tied", "t2"]),
+    n=st.integers(3, 16),
+    a=st.lists(st.integers(-1000, 1000), min_size=1, max_size=3),
+    b=st.lists(st.integers(-1000, 1000), min_size=1, max_size=3),
+    tau=st.sampled_from([0.25, 0.5, 0.8]),
+    simplex=st.booleans(),
+)
+def test_entries_scale_exactly_with_their_columns(seed, law, n, a, b, tau, simplex):
+    # Column j of X scaled by 2**a[j] and column k of Y by 2**b[k] scale each li
+    # entry by 2**a[j], each dodge and choi entry by 2**(a[j] + b[k]) and
+    # qcor_choi by 1, bit for bit wherever that is a normal double, with the
+    # same warnings; SolverFailure exactly where such a value overflows.
+    rng = np.random.default_rng(seed)
+    draw = {"random": rng.normal, "tied": lambda size: rng.integers(-2, 3, size=size).astype(float),
+            "t2": lambda size: rng.standard_t(2, size=size)}[law]
+    X, Y = draw(size=(n, len(a))), draw(size=(n, len(b)))
+    a, b = np.array(a), np.array(b)
+    sX, sY = np.ldexp(X, a), np.ldexp(Y, b)
+    assume(np.array_equal(np.ldexp(sX, -a), X) and np.array_equal(np.ldexp(sY, -b), Y))
+    shifts = {"li": a[:, None] + 0 * b, "dodge": a[:, None] + b, "choi": a[:, None] + b}
+    with mock.patch.object(quantreg, "SLOPE_BLOCK_ENTRIES", 1 if simplex else quantreg.SLOPE_BLOCK_ENTRIES):
+        for kind, shift in shifts.items():
+            base, base_warnings = recorded(qcov_matrix, X, Y, QcovMetric(kind, tau))
+            with np.errstate(over="ignore"):
+                want = np.ldexp(base, shift)
+            got, got_warnings = recorded(qcov_matrix, sX, sY, QcovMetric(kind, tau))
+            if np.isinf(want).any():
+                assert got is SolverFailure, kind
+                continue
+            assert got_warnings == base_warnings, kind
+            normal = (np.abs(want) >= np.finfo(float).tiny) | (base == 0.0)
+            assert got[normal].tobytes() == want[normal].tobytes(), kind
+        base, base_warnings = recorded(qcor_choi, X[:, 0], Y[:, 0], tau)
+        got, got_warnings = recorded(qcor_choi, sX[:, 0], sY[:, 0], tau)
+        assert np.float64(got).tobytes() == np.float64(base).tobytes() and got_warnings == base_warnings
 
 
 class TestMetricTag:
