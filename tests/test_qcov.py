@@ -119,21 +119,27 @@ class TestQcovDodge:
         assert qcov_dodge(x, y, 0.5) == pytest.approx(2.0 * x.var())
         assert qcov_dodge(y, x, 0.5) == pytest.approx(2.0 * x.var())
 
+    @staticmethod
+    def _check_value_that_fits(x, y, a, b, value):
+        # The slope stays in binary units, and the value is 2**-(a + b) times
+        # that of x * 2**a and y * 2**b, exactly.
+        got = qcov_dodge(x, y, 0.5)
+        assert got == pytest.approx(value, rel=1e-12)
+        assert got == np.ldexp(qcov_dodge(np.ldexp(x, a), np.ldexp(y, b), 0.5), -a - b)
+
+    @pytest.mark.parametrize("entries", [quantreg.SLOPE_BLOCK_ENTRIES, 1], ids=["listing", "simplex"])
+    def test_four_row_slope_beyond_a_double_gives_the_value_that_fits(self, entries, monkeypatch):
+        # The slope is 1e310, beyond a double, but variance times slope fits.
+        monkeypatch.setattr(quantreg, "SLOPE_BLOCK_ENTRIES", entries)
+        self._check_value_that_fits(np.arange(1.0, 5.0) * 1e-300, np.arange(4.0) * 1e10, 996, -35, 1.25e-290)
+
     @pytest.mark.parametrize("entries", [quantreg.SLOPE_BLOCK_ENTRIES, 1], ids=["listing", "simplex"])
     def test_slope_beyond_a_double_gives_the_value_that_fits(self, entries, monkeypatch):
-        # Each slope is about 1e310, beyond a double, but variance times slope
-        # fits: 1.25e-290 for four rows, about -9.5e10 for twenty. The slope
-        # stays in binary units, and each value is 2**-(a + b) times that of
-        # x * 2**a and y * 2**b, exactly.
+        # Each pairwise slope is about 1e310, beyond a double, but variance
+        # times slope fits: about -9.5e10.
         monkeypatch.setattr(quantreg, "SLOPE_BLOCK_ENTRIES", entries)
         permuted = np.random.default_rng(35).permutation(20) * 1e-150
-        for x, y, a, b, value in [
-            (np.arange(1.0, 5.0) * 1e-300, np.arange(4.0) * 1e10, 996, -35, 1.25e-290),
-            (permuted, np.arange(20.0) * 1e160, 494, -538, -9.5e10),
-        ]:
-            got = qcov_dodge(x, y, 0.5)
-            assert got == pytest.approx(value, rel=1e-12)
-            assert got == np.ldexp(qcov_dodge(np.ldexp(x, a), np.ldexp(y, b), 0.5), -a - b)
+        self._check_value_that_fits(permuted, np.arange(20.0) * 1e160, 494, -538, -9.5e10)
 
     @pytest.mark.parametrize("entries", [quantreg.SLOPE_BLOCK_ENTRIES, 1], ids=["listing", "simplex"])
     def test_value_beyond_a_double_raises_solver_failure(self, entries, monkeypatch):
