@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Subcommands: ``fit``, ``predict``, ``cv``, ``simulate``. Exit codes: 0 on success, 2 for argument
-problems, 3 for data problems or an output that cannot be written, 4 for solver failures.
+Subcommands: ``fit``, ``predict``, ``cv``, ``simulate``. Exit codes: 0 on
+success, 2 for argument problems, 3 for data problems or an output that
+cannot be written, 4 for solver failures.
 """
 
 import argparse
@@ -249,9 +250,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return int(args.func(args))
-    except (DataError, DimensionMismatch) as exc:
-        return _fail(str(exc), EXIT_DATA)
-    except OSError as exc:  # inputs that cannot be read are DataError; this is an output that cannot be written
+    except (DataError, DimensionMismatch, OSError) as exc:
         return _fail(str(exc), EXIT_DATA)
     except (SolverFailure, RankDeficient, np.linalg.LinAlgError) as exc:
         return _fail(str(exc), EXIT_SOLVER)

@@ -351,7 +351,7 @@ class TestModelFile:
         digits = b'{"format_version": ' + b"1" * 5000 + b"}"
         for content in [b"not json at all", digits, b"[" * 100000, b'{"\xff": 1}']:
             path.write_bytes(content)
-            with pytest.raises(ModelFormatError):
+            with pytest.raises(ModelFormatError, match="not valid JSON"):
                 load_model(path)
 
     def test_unreadable_or_non_object_file_rejected(self, tmp_path):

@@ -671,8 +671,10 @@ class TestQuantileSlopes:
 
     @pytest.mark.parametrize("entries", [quantreg.SLOPE_BLOCK_ENTRIES, 1], ids=["listing", "simplex"])
     def test_slopes_scale_exactly_far_from_one(self, entries, monkeypatch):
-        # x scaled by 2**-400 and y by 2**600 scale every slope by 2**1000,
-        # bit for bit, though squares of y's residuals would overflow.
+        # Columns outside binary units, a case past the stated precondition:
+        # the tie rule is relative, so x scaled by 2**-400 and y by 2**600
+        # scale every slope by 2**1000, bit for bit. The contract callers rely
+        # on is checked on qcov's entries, which scale with their columns.
         monkeypatch.setattr(quantreg, "SLOPE_BLOCK_ENTRIES", entries)
         rng = np.random.default_rng(37)
         X = rng.normal(size=(30, 3))
