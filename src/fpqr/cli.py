@@ -55,23 +55,24 @@ def _add_data_arguments(parser):
 
 def _tau(text):
     try:
-        return validate_tau(text)
+        return validate_tau(float(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_fit_arguments(parser):
     parser.add_argument("--method", choices=("fpqr", "pls"), default="fpqr")
-    parser.add_argument("--metric", choices=FPQR_METRICS, default="li")
-    parser.add_argument("--tau", type=_tau, default=0.5)
+    parser.add_argument("--metric", choices=FPQR_METRICS, help="fpqr only (default: li)")
+    parser.add_argument("--tau", type=_tau, help="fpqr only (default: 0.5)")
     parser.add_argument("--center", choices=CENTERING_MODES, default="mean")
 
 
 def _recipe(args):
-    """The fit that ``--method``, ``--metric``, ``--tau`` and ``--center`` name."""
+    """The fit that ``--method``, ``--metric``, ``--tau`` and ``--center`` name; pls refuses a metric or a level."""
     if args.method == "pls":
-        return ModelRecipe("pls", "pls", center=args.center)
-    return ModelRecipe(f"fpqr-{args.metric}", "fpqr", args.metric, args.tau, args.center)
+        return ModelRecipe("pls", "pls", args.metric, args.tau, args.center)
+    metric = args.metric or "li"
+    return ModelRecipe(f"fpqr-{metric}", "fpqr", metric, 0.5 if args.tau is None else args.tau, args.center)
 
 
 def _load_xy(args):
@@ -98,8 +99,8 @@ def _load_xy(args):
 
 
 def cmd_fit(args):
-    X, Y, x_names, y_names = _load_xy(args)
     recipe = _recipe(args)
+    X, Y, x_names, y_names = _load_xy(args)
     model = recipe.fit(X, Y, args.components)
     if recipe.tau is None:
         objective = test_mse(Y, model.predict(X))
@@ -159,8 +160,9 @@ def _parse_candidates(text):
 
 def cmd_cv(args):
     candidates = _parse_candidates(args.components)
+    recipe = _recipe(args)
     X, Y, _, _ = _load_xy(args)
-    result = cross_validate(X, Y, candidates, folds=args.folds, seed=args.seed, fitter=_recipe(args))
+    result = cross_validate(X, Y, candidates, folds=args.folds, seed=args.seed, fitter=recipe)
     write_matrix_csv(
         args.out,
         ["components", "meanCvError"],

@@ -165,20 +165,14 @@ def cross_validate(X, Y, candidates, folds=5, fitter=None, seed=0):
         raise DimensionMismatch(f"X has {X.shape[0]} rows, Y has {Y.shape[0]}")
     if fitter is None:
         raise ValueError("fitter is required: a ModelRecipe or a callable (X, Y, h) -> model")
-    folds = as_count(folds, "folds")
+    folds = as_count(folds, "folds", 2)
     n = X.shape[0]
-    if folds < 2:
-        raise ValueError("folds must be at least 2")
     if folds > n:
         raise ValueError(f"folds must not exceed the {n} available rows")
-    candidates = sorted({as_count(h, "candidate component counts") for h in candidates})
+    candidates = sorted({as_count(h, "candidate component counts", 1) for h in candidates})
     if not candidates:
         raise ValueError("candidates must be non-empty")
-    if candidates[0] < 1:
-        raise ValueError("candidate component counts must be positive")
-    seed = as_count(seed, "seed")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
+    seed = as_count(seed, "seed", 0)
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, _CV_STREAM)))
     order = rng.permutation(n)
@@ -257,15 +251,11 @@ class SimulationSpec:
         allowed = SCHEMES[self.scheme][4]
         if self.error_law not in allowed:
             raise InvalidSpec(f"scheme {self.scheme} supports error laws {allowed}, got {self.error_law!r}")
-        for name in ("repetitions", "seed"):
+        for name, least in (("repetitions", 1), ("seed", 0)):
             try:
-                object.__setattr__(self, name, as_count(getattr(self, name), name))
+                object.__setattr__(self, name, as_count(getattr(self, name), name, least))
             except ValueError as exc:
                 raise InvalidSpec(str(exc)) from None
-        if self.repetitions < 1:
-            raise InvalidSpec("repetitions must be positive")
-        if self.seed < 0:
-            raise InvalidSpec("seed must be non-negative")
 
 
 def make_simulation_spec(scheme, error_law=None, repetitions=100, seed=0):
@@ -300,9 +290,7 @@ def generate_simulation(spec, repetition):
     -------
     (X_train, Y_train, X_test, Y_test, B_true)
     """
-    repetition = as_count(repetition, "repetition")
-    if repetition < 0:
-        raise ValueError("repetition must be non-negative")
+    repetition = as_count(repetition, "repetition", 0)
     n, m, l = spec.n_train, spec.n_features, spec.n_responses
     n_test = spec.test_size
 

@@ -123,11 +123,7 @@ def _check_line(where, header, line):
     """Raise a DataError, prefixed by ``where``, for the first fault of one body line, if it has one."""
     if '"' in line and not _QUOTES_CLOSE.fullmatch(line):
         raise DataError(f"{where}: a quoted cell does not close on its line")
-    try:
-        row = np.loadtxt([line], ndmin=2, **_DIALECT) if line else None
-    except ValueError:
-        row = None
-    if row is not None and row.shape == (1, len(header)) and np.isfinite(row).all():
+    if _read_whole([line], len(header), None) is not None:
         return
     # Split as loadtxt splits; "" has no cells, as csv reads a blank line.
     cells = np.loadtxt([line], dtype=object, ndmin=1, **_DIALECT) if line else []
@@ -179,10 +175,10 @@ def write_table_csv(path, header, rows):
 
 def save_model(model, path, x_columns, y_columns):
     """Serialize a fitted model to versioned JSON. Training scores and y-loadings are not kept."""
-    if len(x_columns) != model.n_features:
-        raise ValueError(f"{len(x_columns)} x_columns for {model.n_features} features")
-    if len(y_columns) != model.n_responses:
-        raise ValueError(f"{len(y_columns)} y_columns for {model.n_responses} responses")
+    x_columns, y_columns = list(x_columns), list(y_columns)
+    for key, names, count in (("x_columns", x_columns, model.n_features), ("y_columns", y_columns, model.n_responses)):
+        if not _distinct_names(names, count):
+            raise ValueError(f"{key} must list {count} distinct column names")
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "metadata": {
@@ -191,8 +187,8 @@ def save_model(model, path, x_columns, y_columns):
             "tau": model.tau,
             "requested_components": model.requested_components,
             "center": model.center,
-            "x_columns": list(x_columns),
-            "y_columns": list(y_columns),
+            "x_columns": x_columns,
+            "y_columns": y_columns,
         },
         "payload": {
             "weights": model.decomposition.weights.tolist(),
@@ -206,6 +202,16 @@ def save_model(model, path, x_columns, y_columns):
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2)
         handle.write("\n")
+
+
+def _distinct_names(names, count):
+    """Whether the list ``names`` holds ``count`` distinct strings, as a model file's column lists must."""
+    return all(isinstance(name, str) for name in names) and len(set(names)) == len(names) == count
+
+
+def _is_integer(value, low, high):
+    """Whether a JSON value is an integer in [low, high]; ``true`` and ``1.0`` are not integers."""
+    return type(value) is int and low <= value <= high
 
 
 def _payload_array(payload, key, shape):
@@ -244,7 +250,7 @@ def load_model(path):
     if not isinstance(doc, dict):
         raise ModelFormatError(f"{path}: expected a JSON object at the top level")
     version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    if not _is_integer(version, MODEL_FORMAT_VERSION, MODEL_FORMAT_VERSION):
         raise ModelFormatError(
             f"{path}: unsupported model format version {version!r}; this build reads version {MODEL_FORMAT_VERSION}"
         )
@@ -266,8 +272,7 @@ def load_model(path):
 
     for key, count in (("x_columns", m), ("y_columns", l)):
         names = metadata.get(key)
-        if not (isinstance(names, list) and all(isinstance(name, str) for name in names)
-                and len(set(names)) == len(names) == count):
+        if not (isinstance(names, list) and _distinct_names(names, count)):
             raise ModelFormatError(f"{path}: metadata {key!r} must list {count} distinct column names")
     tau = metadata.get("tau")
     try:
@@ -286,7 +291,7 @@ def load_model(path):
     if (method, tau is None, metric is None) not in (("pls", True, True), ("fpqr", False, False)):
         raise ModelFormatError(f"{path}: metadata 'method' {method!r} does not match 'tau' and 'metric'")
     requested = metadata.get("requested_components", h)
-    if not (isinstance(requested, int) and not isinstance(requested, bool) and h <= requested <= m):
+    if not _is_integer(requested, h, m):
         raise ModelFormatError(
             f"{path}: metadata 'requested_components' {requested!r} must be an integer in [{h}, {m}]"
         )

@@ -119,11 +119,14 @@ class FittedModel:
         return centered @ self.coefficients + self.intercepts + self.y_centers
 
 
-def as_count(value, name):
-    """``value`` as a Python int; a float or a bool is rejected rather than truncated."""
+def as_count(value, name, least=None):
+    """``value`` as a Python int of at least ``least``; a float or a bool is rejected rather than truncated."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
+    value = operator.index(value)
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def component_cap(n, m):

@@ -38,7 +38,9 @@ _START_FLOOR = 0.1
 
 
 def validate_tau(tau):
-    """Return ``tau`` as a float after checking it lies strictly inside (0, 1)."""
+    """Return ``tau`` as a float after checking it is a number strictly inside (0, 1); text is not a number."""
+    if isinstance(tau, (str, bytes)):
+        raise ValueError(f"tau must be a number, got {tau!r}")
     tau = float(tau)
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in the open interval (0, 1), got {tau}")
@@ -328,8 +330,7 @@ def _listed_slopes(x, y, tau, k, i, j):
         slack = _TIE_EPS * (y_size + np.abs(b) * x_size)[:, None]
         below = e < kth - slack
         tied = ~below & (e <= kth + slack)
-        order = np.argsort(np.where(tied, -x, np.inf), axis=1, kind="stable")
-        xp = x[rows, order[rows, k - 1 - below.sum(axis=1)]][:, None]
+        xp = -np.sort(np.where(tied, -x, np.inf), axis=1)[rows, k - 1 - below.sum(axis=1)][:, None]
         below |= tied & (x > xp)
         falls = ((x - xp) * (below - tau)).sum(axis=1) < steep
         lo = np.where(open_ & falls, mid + 1, lo)

@@ -376,7 +376,7 @@ class TestSimulationSpec:
             make_simulation_spec("sim1", seed=-3)
 
     @pytest.mark.parametrize(
-        "kwargs, message", [({"repetitions": 0}, "repetitions must be positive")], ids=["repetitions"]
+        "kwargs, message", [({"repetitions": 0}, "repetitions must be at least 1, got 0")], ids=["repetitions"]
     )
     def test_non_positive_sizes_rejected(self, kwargs, message):
         with pytest.raises(InvalidSpec, match=message):
@@ -449,7 +449,7 @@ class TestGenerateSimulation:
 
     def test_negative_repetition_rejected(self):
         spec = make_simulation_spec("sim3-low", error_law="normal", repetitions=1)
-        with pytest.raises(ValueError, match="repetition must be non-negative"):
+        with pytest.raises(ValueError, match="repetition must be at least 0, got -1"):
             generate_simulation(spec, -1)
 
     def test_fractional_repetition_rejected(self):

@@ -199,6 +199,11 @@ class TestMetricChoices:
         with pytest.raises(ValueError):
             fit_fpqr(X, Y, tau=1.0)
 
+    def test_text_tau_rejected(self):
+        X, Y, _ = make_data(11)
+        with pytest.raises(ValueError, match="tau must be a number, got '0.5'"):
+            fit_fpqr(X, Y, tau="0.5")
+
     def test_custom_metric_shape_checked(self):
         X, Y, _ = make_data(12)
         with pytest.raises(ValueError, match=r"cross product returned shape \(1, 1\)"):

@@ -335,14 +335,16 @@ class TestModelFile:
         assert_array_equal(loaded.predict(X), model.predict(X))
 
     def test_unsupported_version_rejected(self, tmp_path):
+        # The version is the JSON integer 1: true and 1.0 compare equal to it in Python, but are not it.
         _, model = self.fit_small()
         path = tmp_path / "model.json"
         save_model(model, path, ["a", "b", "c"], ["u", "v"])
         doc = json.loads(path.read_text())
-        doc["format_version"] = 2
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFormatError, match="unsupported model format version 2"):
-            load_model(path)
+        for version in [2, True, 1.0]:
+            doc["format_version"] = version
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ModelFormatError, match=f"unsupported model format version {version!r};"):
+                load_model(path)
 
     def test_not_json_rejected(self, tmp_path):
         # Text, a version of 5,000 digits (past Python's int-digit limit), nesting
@@ -461,6 +463,20 @@ class TestModelFile:
             save_model(model, tmp_path / "m.json", ["a"], ["u", "v"])
         with pytest.raises(ValueError, match="y_columns"):
             save_model(model, tmp_path / "m.json", ["a", "b", "c"], ["u"])
+
+    @pytest.mark.parametrize(
+        "x_columns, y_columns, message",
+        [(["a", "a", "b"], ["u", "v"], "x_columns must list 3 distinct column names"),
+         (["a", 1, "b"], ["u", "v"], "x_columns must list 3 distinct column names"),
+         (["a", "b", "c"], ["u", None], "y_columns must list 2 distinct column names")],
+        ids=["repeated", "number", "none"],
+    )
+    def test_save_refuses_what_load_would_refuse(self, tmp_path, x_columns, y_columns, message):
+        _, model = self.fit_small()
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match=message):
+            save_model(model, path, x_columns, y_columns)
+        assert not path.exists()
 
     def test_zero_component_model_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -595,6 +611,19 @@ class TestCliFitPredict:
         assert f"data row {first + 1}: the prediction overflows" in capsys.readouterr().err
         assert not out_path.exists()
 
+    def test_text_tau_in_model_is_data_error(self, xy_files, tmp_path, capsys):
+        # A level is a JSON number; the string "0.5" would convert, but is refused.
+        x_path, y_path, _, _ = xy_files
+        model_path, out_path = tmp_path / "m.json", tmp_path / "p.csv"
+        assert main(["fit", "--x", x_path, "--y", y_path, "--components", "2", "--out", str(model_path)]) == 0
+        doc = json.loads(model_path.read_text())
+        doc["metadata"]["tau"] = "0.5"
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--x", x_path, "--out", str(out_path)]) == 3
+        assert capsys.readouterr().err == f"error: {model_path}: metadata 'tau': tau must be a number, got '0.5'\n"
+        assert not out_path.exists()
+
     def test_non_numeric_cell_is_data_error(self, tmp_path, capsys):
         x_path = tmp_path / "x.csv"
         y_path = tmp_path / "y.csv"
@@ -666,6 +695,11 @@ class TestCliUsageErrors:
         assert code == 2
         assert "--tau" in capsys.readouterr().err
 
+    def test_tau_text_keeps_float_message(self, tmp_path, capsys):
+        assert main(["fit", "--tau", "abc", "--out", str(tmp_path / "m.json")]) == 2
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert line == "fpqr fit: error: argument --tau: could not convert string to float: 'abc'"
+
     def test_tau_checked_for_pls_too(self, xy_files, tmp_path, capsys):
         x_path, y_path, _, _ = xy_files
         code = main([
@@ -720,6 +754,9 @@ class TestCliUsageErrors:
         assert capsys.readouterr().err == "error: scheme sim1 supports error laws ('chi2_3',), got 't1'\n"
 
 
+PLS_OPTIONS = "error: the pls recipe takes no metric and no quantile level"
+
+
 class TestCliErrorLines:
     """Exit code and exact stderr for each fault the CLI reports itself."""
 
@@ -736,8 +773,16 @@ class TestCliErrorLines:
             (["simulate", "--scheme", "sim3-low", "--recipes", ","], "error: --recipes named no recipes"),
             (["simulate", "--scheme", "sim3-low", "--recipes", "bogus"],
              "error: unknown recipe 'bogus'; expected 'pls' or 'fpqr-<li|dodge|choi>[@tau]'"),
+            # --metric and --tau belong to fpqr: a pls fit given either is refused before any table is read.
+            (["fit", "--method", "pls", "--metric", "dodge", "--x", "{x}", "--y", "{y}"], PLS_OPTIONS),
+            (["fit", "--method", "pls", "--tau", "0.1", "--data", "{x}.absent", "--response-cols", "y0"], PLS_OPTIONS),
+            (["cv", "--method", "pls", "--metric", "li", "--data", "{x}.absent", "--response-cols", "y0",
+              "--components", "1..2"], PLS_OPTIONS),
+            (["cv", "--method", "pls", "--tau", "0.3", "--x", "{x}", "--y", "{y}", "--components", "1..2"],
+             PLS_OPTIONS),
         ],
-        ids=["x-without-y", "data-without-cols", "blank-cols", "bad-range", "bad-list", "no-recipes", "unknown-recipe"],
+        ids=["x-without-y", "data-without-cols", "blank-cols", "bad-range", "bad-list", "no-recipes", "unknown-recipe",
+             "fit-pls-metric", "fit-pls-tau-absent-data", "cv-pls-metric-absent-data", "cv-pls-tau"],
     )
     def test_usage_fault_line(self, xy_files, tmp_path, capsys, args, line):
         x_path, y_path, _, _ = xy_files
