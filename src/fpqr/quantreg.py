@@ -19,8 +19,8 @@ from .exceptions import (
 
 # Values per temporary array in :func:`quantile_slopes`. A listing block holds
 # the pairwise slopes of as many column pairs as fit, in three such arrays
-# alive at once (x differences, y differences, sorted slopes) beside the two
-# index arrays of one pair's listing.
+# (x differences, y differences, sorted slopes), allocated once per call and
+# reused by every block, beside the two index arrays of one pair's listing.
 SLOPE_BLOCK_ENTRIES = 2**16
 # A change below this fraction of its scale counts as none: the loss's fall
 # per unit of slope in the slope listing, of sum(|x - mean(x)|); a parameter's
@@ -298,8 +298,10 @@ def fit_quantile_regression(X, y, tau):
     return QrFit(coefficients=coefficients, intercept=intercept, objective=objective, iterations=iterations)
 
 
-def _listed_slopes(x, y, tau, k, i, j):
-    # x, y: one column pair per row; i, j: the row-index pairs i < j. Every
+def _listed_slopes(x, y, tau, k, i, j, dx, dy, points):
+    # x, y: one column pair per row; i, j: the row-index pairs i < j; dx, dy,
+    # points: arrays of one row per pair and one column per (i, j), filled in
+    # place with the x and y differences and the sorted slopes. Every
     # pairwise slope is listed and sorted, then bisected for the first one
     # whose right derivative is not steep (see the tie rule). Just right of a
     # slope b the residuals keep their order, except that residuals tied at b
@@ -312,12 +314,15 @@ def _listed_slopes(x, y, tau, k, i, j):
     rows = np.arange(x.shape[0])
     steep = -_FLAT_RTOL * np.abs(x - x.mean(axis=1, keepdims=True)).sum(axis=1)
     y_size, x_size = np.abs(y).max(axis=1), np.abs(x).max(axis=1)
-    dx = np.take(x, i, axis=1)
-    dx -= np.take(x, j, axis=1)
-    dy = np.take(y, i, axis=1)
-    dy -= np.take(y, j, axis=1)
+    # Every index is in range, so mode="clip" gathers exactly, without the
+    # buffered copy of out that the default mode="raise" makes.
+    np.take(x, i, axis=1, out=dx, mode="clip")
+    dx -= np.take(x, j, axis=1, out=points, mode="clip")
+    np.take(y, i, axis=1, out=dy, mode="clip")
+    dy -= np.take(y, j, axis=1, out=points, mode="clip")
+    points.fill(np.inf)
     with np.errstate(over="ignore"):
-        points = np.divide(dy, dx, out=np.full_like(dx, np.inf), where=dx != 0.0)
+        np.divide(dy, dx, out=points, where=dx != 0.0)
     points.sort(axis=1)
     lo = np.isfinite(points).argmax(axis=1)
     hi = (points < np.inf).sum(axis=1) - 1
@@ -351,7 +356,9 @@ def quantile_slopes(X, Y, tau, x_columns, y_columns):
 
     While one pair's ``n * (n - 1) / 2`` pairwise slopes fit in
     ``SLOPE_BLOCK_ENTRIES`` (up to 362 rows), they are listed, in blocks of
-    as many pairs as fit. With the intercept profiled out at the lower
+    as many pairs as fit; the block's three arrays (x differences, y
+    differences, sorted slopes) are allocated once per call and every block
+    reuses them. With the intercept profiled out at the lower
     empirical quantile of the residuals (the :func:`empirical_quantile`
     rule), the check loss is convex and piecewise linear in the slope, with
     breakpoints among the pairwise slopes ``(y_i - y_j) / (x_i - x_j)`` over
@@ -385,8 +392,10 @@ def quantile_slopes(X, Y, tau, x_columns, y_columns):
         i, j = np.triu_indices(n, 1)
         block = SLOPE_BLOCK_ENTRIES // listed
         slopes = np.empty(x_columns.size)
+        arrays = np.empty((3, min(block, x_columns.size), listed))
         for start in range(0, x_columns.size, block):
             part = slice(start, start + block)
-            x, y = np.take(X.T, x_columns[part], axis=0), np.take(Y.T, y_columns[part], axis=0)
-            slopes[part] = _listed_slopes(x, y, tau, k, i, j)
+            # Indexing X.T gathers only the block's columns; np.take would first copy all of X.
+            x, y = X.T[x_columns[part]], Y.T[y_columns[part]]
+            slopes[part] = _listed_slopes(x, y, tau, k, i, j, *arrays[:, : x.shape[0]])
     return slopes + 0.0  # a listed dy = 0 over dx < 0 is -0.0; the simplex gives +0.0

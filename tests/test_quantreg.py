@@ -728,6 +728,57 @@ class TestQuantileSlopes:
             tracemalloc.stop()
         assert peak < 4 * 8 * quantreg.SLOPE_BLOCK_ENTRIES
 
+    def test_listing_memory_at_one_pair_per_block(self):
+        # At 362 rows one pair fills a block, and the two index arrays of its
+        # listing are each about a block array long: 20 pairs peaked at 5.26
+        # arrays (2.76 MB), so 6.25 leaves about 19% headroom, as at n = 100.
+        rng = np.random.default_rng(34)
+        X = rng.normal(size=(362, 20))
+        Y = X + rng.standard_t(2, size=(362, 20))
+        tracemalloc.start()
+        try:
+            paired_slopes(X, Y, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.25 * 8 * quantreg.SLOPE_BLOCK_ENTRIES
+
+    def test_blocks_reuse_their_arrays_without_stale_values(self, monkeypatch):
+        # Seven full blocks of four pairs and a last one of two share one set
+        # of block arrays. Tied-integer and duplicated-x columns, whose equal x
+        # leave slots with no slope, come in blocks right after blocks of
+        # normal columns, which fill every slot. A stale value in such a slot
+        # would be a spurious breakpoint, which the bisection of a convex loss
+        # never picks, so the slopes alone cannot show one: each block's sorted
+        # slopes must hold one inf per zero x difference.
+        n = 100
+        monkeypatch.setattr(quantreg, "SLOPE_BLOCK_ENTRIES", 4 * n * (n - 1) // 2)
+        listed, addresses = quantreg._listed_slopes, set()
+
+        def spy(x, y, tau, k, i, j, dx, dy, points):
+            slopes = listed(x, y, tau, k, i, j, dx, dy, points)
+            assert_array_equal((points == np.inf).sum(axis=1), (dx == 0.0).sum(axis=1))
+            addresses.add(tuple(a.__array_interface__["data"][0] for a in (dx, dy, points)))
+            return slopes
+
+        monkeypatch.setattr(quantreg, "_listed_slopes", spy)
+        rng = np.random.default_rng(35)
+        normal = rng.normal(size=(n, 16))
+        tied = rng.integers(-3, 4, size=(n, 8)).astype(float)
+        duplicated = np.repeat(rng.normal(size=(n // 2, 6)), 2, axis=0)
+        X = np.hstack([normal[:, :8], tied, normal[:, 8:12], duplicated, normal[:, 12:]])
+        Y = X * rng.uniform(-1.0, 2.0, size=30) + rng.standard_t(2, size=(n, 30))
+        Y[:, 8:16] = rng.integers(-3, 4, size=(n, 8))
+        columns = np.arange(30)
+        got = paired_slopes(X, Y, 0.5)
+        assert len(addresses) == 1
+        kept = got.copy()
+        one_per_call = np.concatenate([paired_slopes(X[:, [c]], Y[:, [c]], 0.5) for c in columns])
+        assert got.tobytes() == one_per_call.tobytes()
+        assert_array_equal(got, listed_quantile_slopes(X, Y, 0.5, columns, columns))
+        paired_slopes(Y, X, 0.3)
+        assert got.tobytes() == kept.tobytes()
+
     def test_pairs_index_the_columns(self):
         rng = np.random.default_rng(32)
         X = rng.normal(size=(12, 3))
