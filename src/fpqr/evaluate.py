@@ -105,11 +105,11 @@ class ModelRecipe:
 def parse_recipe(text):
     """Parse ``"pls"`` or ``"fpqr-<metric>[@tau]"`` into a :class:`ModelRecipe`."""
     tag = str(text).strip()
-    base, _, level = tag.partition("@")
+    base, at, level = tag.partition("@")
     if base != "pls" and not base.startswith("fpqr-"):
         raise ValueError(f"unknown recipe {text!r}; expected 'pls' or 'fpqr-<li|dodge|choi>[@tau]'")
-    if level != level.strip():  # tags go unquoted into the study table
-        raise ValueError(f"quantile level {level!r} holds whitespace")
+    if level != level.strip() or (at and not level):  # tags go unquoted into the study table
+        raise ValueError(f"quantile level {level!r} after '@' is empty or holds whitespace")
     tau = float(level) if level else None
     if base == "pls":
         return ModelRecipe(tag, "pls", None, tau)

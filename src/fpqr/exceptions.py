@@ -43,11 +43,11 @@ class DegenerateDesignWarning(UserWarning):
 
 
 class ZeroVarianceWarning(UserWarning):
-    """A constant argument (every entry equal) forced a quantile dependence value to 0."""
+    """Slope regressors the QR drop rule removes (constant, even to rounding) zeroed values; one warning counts them."""
 
 
 class DiscordantSlopesWarning(UserWarning):
-    """The two directional quantile slopes disagree in sign; the value is set to 0."""
+    """Directional quantile slopes disagree in sign, so those choi values are 0; one warning per call counts them."""
 
 
 class IllConditionedWarning(UserWarning):

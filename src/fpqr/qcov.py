@@ -77,8 +77,8 @@ def qcov_li(z1, z2, tau):
 
 
 def _slope_values(kind, X, Y, tau, correlation=False):
-    # Dodge or choi values between every column of X and of Y, flattened row-major. A degenerate pair
-    # (a regressor the QR rule drops; for choi also discordant slopes) warns, naming its entry (j, k), and gets 0.
+    # Dodge or choi values between every column of X and of Y, flattened row-major. A degenerate pair (a regressor
+    # the QR rule drops; for choi also discordant slopes) gets 0; each category warns once, counting its entries.
     # Variances, slopes and their products stay in binary units (see quantile_slopes); each value returns to
     # real units in one exact ldexp, so nothing over- or underflows where the value itself fits in a double.
     m, l = X.shape[1], Y.shape[1]
@@ -106,14 +106,12 @@ def _slope_values(kind, X, Y, tau, correlation=False):
         values = np.ldexp(values, 0 if correlation else ex[jx] + ey[jy])
     if np.isinf(values).any():
         raise SolverFailure("a quantile dependence value does not fit in a double")
-    for i in np.flatnonzero(zero | discordant):
-        if discordant[i]:
-            message, category = "directional quantile slopes disagree in sign", DiscordantSlopesWarning
-        elif kind == "dodge":
-            message, category = "first argument has zero variance", ZeroVarianceWarning
-        else:
-            message, category = "an argument has zero variance", ZeroVarianceWarning
-        warn(f"{message} at entry ({jx[i]}, {jy[i]}); value set to 0", category)
+    reports = ((zero, "a slope regressor has zero variance", ZeroVarianceWarning),
+               (discordant, "directional quantile slopes disagree in sign", DiscordantSlopesWarning))
+    for mask, message, category in reports:
+        if mask.any():
+            first = ", ".join(f"({jx[i]}, {jy[i]})" for i in np.flatnonzero(mask)[:3])
+            warn(f"{message} at {mask.sum()} of {m * l} entries, first {first}; values set to 0", category)
     values[zero | discordant] = 0.0
     return values
 
@@ -158,8 +156,9 @@ def qcov_matrix(X, Y, metric):
     :func:`~fpqr.quantreg.fit_quantile_regression` drops beside the
     intercept, ``||x - mean(x)|| <= max(n, 2) * eps * ||x||`` (exact
     constants included), makes its entry degenerate at any ``n``; ``choi``
-    tests both columns. Degenerate entries are reported with their ``(j, k)``
-    coordinates and set to 0.
+    tests both columns. Degenerate entries are set to 0, and each category
+    (zero variance, discordant ``choi`` slopes) warns once per call with its
+    count and its first three ``(j, k)`` in row-major order.
     """
     if not isinstance(metric, QcovMetric):
         raise TypeError(f"metric must be a QcovMetric, got {type(metric).__name__}")

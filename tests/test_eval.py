@@ -74,7 +74,7 @@ class TestParseRecipe:
         assert (r.method, r.metric, r.tau) == ("fpqr", "dodge", 0.25)
         assert r.tag == "fpqr-dodge@0.25"
 
-    @pytest.mark.parametrize("bad", ["pls@0.5", "fpqr-kendall", "ridge", "fpqr-li@1.5"])
+    @pytest.mark.parametrize("bad", ["pls@0.5", "fpqr-kendall", "ridge", "fpqr-li@1.5", "fpqr-li@", "pls@"])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_recipe(bad)

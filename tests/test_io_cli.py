@@ -528,6 +528,20 @@ class TestCliFitPredict:
             assert summary in out
             assert out.rstrip().endswith("stop=small-cross-product") == (components == "2")
 
+    def test_choi_fit_warns_at_most_once_per_category_and_round(self, tmp_path, capsys):
+        # A sim1 table meets dozens of discordant choi pairs per extraction
+        # round; each round's cross product reports them in one warning.
+        X, Y = evaluate.generate_simulation(evaluate.make_simulation_spec("sim1", repetitions=1, seed=4), 0)[:2]
+        x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
+        write_matrix_csv(x_path, [f"x{j}" for j in range(X.shape[1])], X)
+        write_matrix_csv(y_path, [f"y{k}" for k in range(Y.shape[1])], Y)
+        argv = ["fit", "--x", str(x_path), "--y", str(y_path), "--metric", "choi", "--components", "3"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "--out", str(tmp_path / "m.json")]) == 0
+        assert "components=3/3" in capsys.readouterr().out
+        assert 0 < len(caught) <= 6
+
     def test_fit_pls_reports_mse_objective(self, xy_files, tmp_path, capsys):
         x_path, y_path, _, _ = xy_files
         model_path = str(tmp_path / "model.json")

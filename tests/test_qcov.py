@@ -15,7 +15,7 @@ from fpqr.exceptions import DimensionMismatch, DiscordantSlopesWarning, SolverFa
 from _oracles import li_cross_product
 
 # The scalar metrics name their one entry in a degenerate-entry warning.
-SCALAR_ENTRY = r"at entry \(0, 0\); value set to 0"
+SCALAR_ENTRY = r"at 1 of 1 entries, first \(0, 0\); values set to 0$"
 # A pair whose two directional median-regression slopes disagree in sign.
 # Frozen from a short random search; the slopes are roughly -0.035 and +0.43.
 DISCORDANT_Z1 = np.array([0.1257, -0.1321, 0.6404, 0.1049, -0.5357, 0.3616, 1.304, 0.9471])
@@ -262,17 +262,51 @@ class TestQcovMatrix:
             warnings.simplefilter("always")
             M = qcov_matrix(X, Y, QcovMetric(kind, tau=0.5))
         zero_variance = [str(w.message) for w in caught if w.category is ZeroVarianceWarning]
-        assert [m.split(" at entry ")[1] for m in zero_variance] == ["(1, 0); value set to 0", "(1, 1); value set to 0"]
+        assert zero_variance == [
+            "a slope regressor has zero variance at 2 of 6 entries, first (1, 0), (1, 1); values set to 0"
+        ]
         assert all(w.filename == __file__ for w in caught)
         assert (M[1] == 0.0).all()
+
+    @pytest.mark.parametrize("kind", ["dodge", "choi"])
+    def test_each_warning_counts_the_zeros_its_category_put_in_the_matrix(self, kind):
+        # Two constant columns of X, one of Y (a regressor only for choi; dodge
+        # fits it a slope of exactly 0, no degenerate entry) and unrelated data,
+        # so that choi also meets discordant pairs. Each category warns at most
+        # once, and its count and first three entries in row-major order are
+        # those of its zeros in the returned matrix; the two count every zero.
+        rng = np.random.default_rng(30)
+        X = rng.normal(size=(20, 8))
+        X[:, [2, 5]] = 1.5
+        Y = rng.normal(size=(20, 5))
+        Y[:, 3] = -2.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            M = qcov_matrix(X, Y, QcovMetric(kind, tau=0.5))
+        constant = np.zeros(M.shape, dtype=bool)
+        constant[[2, 5]] = True
+        constant[:, 3] |= kind == "choi"
+        discordant = (M == 0.0) & ~constant
+        discordant[:, 3] &= kind == "choi"
+        zeros = {ZeroVarianceWarning: constant, DiscordantSlopesWarning: discordant}
+        counts = {}
+        for w in caught:
+            count, first = re.search(r" at (\d+) of 40 entries, first (.*); values set to 0$", str(w.message)).groups()
+            zeroed = np.argwhere(zeros[w.category])
+            assert w.category not in counts
+            counts[w.category] = int(count)
+            assert counts[w.category] == len(zeroed)
+            assert first == ", ".join(f"({j}, {k})" for j, k in zeroed[:3])
+        assert list(counts) == ([ZeroVarianceWarning] if kind == "dodge" else list(zeros))
+        assert sum(counts.values()) == constant.sum() + discordant.sum()
 
     @pytest.mark.parametrize("n", [300, 400], ids=["listing", "simplex"])
     @pytest.mark.parametrize("kind", ["dodge", "choi"])
     def test_regressor_constant_to_rounding_is_degenerate(self, kind, n):
         # Column 0 is 7 but for one entry of 7 + 7 * 2**-50. Whether its slopes
         # would come from the listing (300 rows) or the simplex (400 rows), its
-        # entries are 0 and named, and every other entry is what the other
-        # columns give alone.
+        # entries are 0 and counted in one warning, and every other entry is
+        # what the other columns give alone.
         rng = np.random.default_rng(29)
         Z = rng.normal(size=(n, 3))
         Z[:, 0] = 7.0
@@ -282,9 +316,10 @@ class TestQcovMatrix:
             M = qcov_matrix(Z, Z, QcovMetric(kind, tau=0.5))
             first = 0 if kind == "dodge" else 1  # choi also zeroes column 0
             rest = qcov_matrix(Z[:, 1:], Z[:, first:], QcovMetric(kind, tau=0.5))
-        named = [w for w in caught if w.category is ZeroVarianceWarning and "entry (0, 0)" in str(w.message)]
-        assert M[0, 0] == 0.0
-        assert len(named) == 1
+        zero_variance = [str(w.message) for w in caught if w.category is ZeroVarianceWarning]
+        zeroed = 3 if kind == "dodge" else 5  # row 0, and for choi also column 0
+        assert zero_variance == [f"a slope regressor has zero variance at {zeroed} of 9 entries, "
+                                 "first (0, 0), (0, 1), (0, 2); values set to 0"]
         assert (M[0] == 0.0).all() and (M[:, :first] == 0.0).all()
         assert_array_equal(M[1:, first:], rest)
 
@@ -299,11 +334,9 @@ class TestQcovMatrix:
         row = rng.integers(n)
         X[row] += X[row] * np.tile(moves, 3)
         y = rng.normal(size=n)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            qcov_matrix(X, y[:, None], QcovMetric("dodge", tau=0.5))
-        zeroed = {int(re.search(r"entry \((\d+), 0\)", str(w.message))[1]) for w in caught}
-        kept = [j for j in range(X.shape[1]) if j not in zeroed]
+        with pytest.warns(ZeroVarianceWarning):
+            M = qcov_matrix(X, y[:, None], QcovMetric("dodge", tau=0.5))
+        kept = np.flatnonzero(M[:, 0])
         assert len(kept) == (24 if n == 50 else 0)
         for j in kept:
             assert quantreg._solve_lp(np.column_stack([np.ones(n), X[:, j]]), y, 0.5)[2].all(), j
@@ -382,6 +415,37 @@ def test_entries_scale_exactly_with_their_columns(seed, law, n, a, b, tau, simpl
         base, base_warnings = recorded(qcor_choi, X[:, 0], Y[:, 0], tau)
         got, got_warnings = recorded(qcor_choi, sX[:, 0], sY[:, 0], tau)
         assert np.float64(got).tobytes() == np.float64(base).tobytes() and got_warnings == base_warnings
+
+
+@settings(max_examples=50)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.tuples(st.integers(23, 362), st.integers(363, 420)),
+    tau=st.floats(0.1, 0.9),
+    m=st.integers(1, 3),
+    l=st.integers(1, 2),
+)
+def test_reflection_negates_dodge_and_the_inner_fit_and_li_by_its_quantile_rows(seed, sizes, tau, m, l):
+    # Fitting level 1 - tau on -Y mirrors level tau on Y. Continuous data with
+    # n * tau not an integer has one optimum, and the reflection's is exactly
+    # the negated one: every dodge entry and the inner fit, whether the slopes
+    # come from the listing (up to 362 rows) or the simplex (beyond). li gives
+    # the row at the quantile the weight tau on both sides, so the two sum to
+    # that row's centered x over n instead of 0.
+    rng = np.random.default_rng(seed)
+    for n in sizes:
+        assume(abs(n * tau - round(n * tau)) > 1e-6)
+        X, Y = rng.normal(size=(n, m)), rng.standard_t(3, size=(n, l))
+        dodge = qcov_matrix(X, Y, QcovMetric("dodge", tau))
+        assert_array_equal(qcov_matrix(X, -Y, QcovMetric("dodge", 1.0 - tau)), -dodge)
+        fit, reflected = fit_quantile_regression(X, Y[:, 0], tau), fit_quantile_regression(X, -Y[:, 0], 1.0 - tau)
+        assert_array_equal(reflected.coefficients, -fit.coefficients)
+        assert reflected.intercept == -fit.intercept
+        li = qcov_matrix(X, Y, QcovMetric("li", tau))
+        at_quantile = Y == np.sort(Y, axis=0)[int(np.ceil(n * tau)) - 1]
+        correction = (X - X.mean(axis=0)).T @ at_quantile / n
+        total = qcov_matrix(X, -Y, QcovMetric("li", 1.0 - tau)) + li
+        assert np.abs(total - correction).max() <= 1e-14 * np.abs(li).max()
 
 
 class TestMetricTag:
