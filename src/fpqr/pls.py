@@ -164,8 +164,9 @@ def extract_components(X0, Y0, n_components, cross_product):
     n, m = Xa.shape
     l = Ya.shape[1]
     min_tt = (_STOP_RTOL * np.linalg.norm(X0)) ** 2
-    ws, ps, qs, ts = [], [], [], []
-    reason = "requested"
+    W, P = np.empty((2, m, n_components))
+    Q, T = np.empty((l, n_components)), np.empty((n, n_components))
+    extracted, reason = 0, "requested"
     for a in range(n_components):
         S = np.asarray(cross_product(Xa, Ya), dtype=float)
         if S.shape != (m, l):
@@ -185,12 +186,9 @@ def extract_components(X0, Y0, n_components, cross_product):
         q = Ya.T @ t / tt
         Xa -= np.outer(t, p)
         Ya -= np.outer(t, q)
-        ws.append(w)
-        ps.append(p)
-        qs.append(q)
-        ts.append(t)
-    stack = lambda columns, rows: np.column_stack(columns) if columns else np.zeros((rows, 0))
-    return LatentDecomposition(stack(ws, m), stack(ps, m), stack(qs, l), stack(ts, n), reason)
+        W[:, a], P[:, a], Q[:, a], T[:, a] = w, p, q, t
+        extracted = a + 1
+    return LatentDecomposition(*(M[:, :extracted] for M in (W, P, Q, T)), reason)
 
 
 def back_project(decomposition, gamma):

@@ -166,11 +166,15 @@ def qcov_matrix(X, Y, metric):
     Y = as_matrix(Y, "Y")
     if X.shape[0] != Y.shape[0]:
         raise DimensionMismatch(f"X has {X.shape[0]} rows, Y has {Y.shape[0]}")
+    if X.shape[0] < 2:
+        raise ValueError("need at least 2 rows")
+    return _metric_matrix(X, Y, metric)
+
+
+def _metric_matrix(X, Y, metric):
+    # qcov_matrix's arithmetic, on blocks it would accept: finite 2-d float arrays with one row count n >= 2.
     n, m = X.shape
     l = Y.shape[1]
-    if n < 2:
-        raise ValueError("need at least 2 rows")
-
     if metric.kind == "classical":
         return ((X - column_centers(X)).T @ (Y - column_centers(Y))) / n
 

@@ -20,8 +20,14 @@ from .exceptions import (
 # Values per temporary array in :func:`quantile_slopes`. A listing block holds
 # the pairwise slopes of as many column pairs as fit, in three such arrays
 # (x differences, y differences, sorted slopes), allocated once per call and
-# reused by every block, beside the two index arrays of one pair's listing.
+# reused by every block, beside the two index arrays of one pair's listing,
+# in the narrowest unsigned type that holds n - 1. Each block is bisected only
+# until every pair's bracket fits in a window of _WINDOW sorted slopes or fewer,
+# so that the call's windows take at most a quarter of one such array; after the
+# blocks, the windows are finished as many pairs at a time as a quarter of one
+# such array holds rows.
 SLOPE_BLOCK_ENTRIES = 2**16
+_WINDOW = 128
 # A change below this fraction of its scale counts as none: the loss's fall
 # per unit of slope in the slope listing, of sum(|x - mean(x)|); a parameter's
 # move along a flat edge of the simplex, of its rounding scale.
@@ -301,21 +307,15 @@ def fit_quantile_regression(X, y, tau):
 def _listed_slopes(x, y, tau, k, i, j, dx, dy, points):
     # x, y: one column pair per row; i, j: the row-index pairs i < j; dx, dy,
     # points: arrays of one row per pair and one column per (i, j), filled in
-    # place with the x and y differences and the sorted slopes. Every
-    # pairwise slope is listed and sorted, then bisected for the first one
-    # whose right derivative is not steep (see the tie rule). Just right of a
-    # slope b the residuals keep their order, except that residuals tied at b
-    # (within a few units of rounding of the row's largest |y| and |x|) order
-    # by decreasing x; xp is the x of the k-th residual in that order.
-    # Equal x give no breakpoint (inf, sorted last). An overflowing slope is a
-    # breakpoint beyond the double range (-inf or inf), left out of the bisection:
-    # its two x are within 2**-1022, so near 0 and far from the row of largest |x|,
-    # which makes the loss rise beyond the finite breakpoints on either side.
-    rows = np.arange(x.shape[0])
-    steep = -_FLAT_RTOL * np.abs(x - x.mean(axis=1, keepdims=True)).sum(axis=1)
-    y_size, x_size = np.abs(y).max(axis=1), np.abs(x).max(axis=1)
-    # Every index is in range, so mode="clip" gathers exactly, without the
-    # buffered copy of out that the default mode="raise" makes.
+    # place with the x and y differences and the sorted slopes. Returns each
+    # row's bracket for _bisect: the first and last finite slope. Equal x give
+    # no breakpoint (inf, sorted last). An overflowing slope is a breakpoint
+    # beyond the double range (-inf or inf), left out of the bracket: its two x
+    # are within 2**-1022, so near 0 and far from the row of largest |x|, which
+    # makes the loss rise beyond the finite breakpoints on either side. The
+    # listing reads neither tau nor k. Every index is in range, so mode="clip"
+    # gathers exactly, without the buffered copy of out that the default
+    # mode="raise" makes.
     np.take(x, i, axis=1, out=dx, mode="clip")
     dx -= np.take(x, j, axis=1, out=points, mode="clip")
     np.take(y, i, axis=1, out=dy, mode="clip")
@@ -324,10 +324,25 @@ def _listed_slopes(x, y, tau, k, i, j, dx, dy, points):
     with np.errstate(over="ignore"):
         np.divide(dy, dx, out=points, where=dx != 0.0)
     points.sort(axis=1)
-    lo = np.isfinite(points).argmax(axis=1)
-    hi = (points < np.inf).sum(axis=1) - 1
-    while (lo < hi).any():
-        open_ = lo < hi
+    return np.isfinite(points).argmax(axis=1), (points < np.inf).sum(axis=1) - 1
+
+
+def _bisect(x, y, tau, k, points, lo, hi, width):
+    # Bisects each row's sorted breakpoints points[r, lo[r] : hi[r] + 1] for
+    # the first one whose right derivative is not steep (see the tie rule),
+    # until every bracket is at most width wide, and returns the new lo and hi.
+    # Just right of a slope b the residuals keep their order, except that
+    # residuals tied at b (within a few units of rounding of the row's largest
+    # |y| and |x|) order by decreasing x; xp is the x of the k-th residual in
+    # that order. A row's steps depend on its own data and bracket only, and
+    # shifting a bracket shifts its midpoints, so a bracket narrowed in one
+    # call and finished in another, on a window cut from the row's sorted
+    # slopes, meets the same breakpoints as one call to the end.
+    rows = np.arange(x.shape[0])
+    steep = -_FLAT_RTOL * np.abs(x - x.mean(axis=1, keepdims=True)).sum(axis=1)
+    y_size, x_size = np.abs(y).max(axis=1), np.abs(x).max(axis=1)
+    while (hi - lo > width).any():
+        open_ = hi - lo > width
         mid = (lo + hi) // 2
         b = points[rows, mid]
         e = y - b[:, None] * x
@@ -340,7 +355,34 @@ def _listed_slopes(x, y, tau, k, i, j, dx, dy, points):
         falls = ((x - xp) * (below - tau)).sum(axis=1) < steep
         lo = np.where(open_ & falls, mid + 1, lo)
         hi = np.where(open_ & ~falls, mid, hi)
-    return points[rows, lo]
+    return lo, hi
+
+
+def _narrowed_windows(X, Y, tau, k, x_columns, y_columns):
+    # Lists and sorts each block's pairwise slopes and bisects them until each
+    # pair's bracket fits in a window of width slopes; returns every pair's
+    # window and its bracket within it. The width is a power of two (or the
+    # whole listing), so the finish takes no more lockstep steps than one
+    # bisection to the end would. The block arrays are freed on return.
+    n, pairs = X.shape[0], x_columns.size
+    listed = n * (n - 1) // 2
+    i, j = (a.astype(np.min_scalar_type(n - 1)) for a in np.triu_indices(n, 1))
+    block = SLOPE_BLOCK_ENTRIES // listed
+    room = min(_WINDOW, SLOPE_BLOCK_ENTRIES // (4 * max(pairs, 1)))
+    width = min(1 << max(room.bit_length() - 1, 0), listed)
+    windows = np.empty((pairs, width))
+    lo, hi = np.empty((2, pairs), dtype=np.intp)
+    arrays = np.empty((3, min(block, pairs), listed))
+    for start in range(0, pairs, block):
+        part = slice(start, start + block)
+        # Indexing X.T gathers only the block's columns; np.take would first copy all of X.
+        x, y = X.T[x_columns[part]], Y.T[y_columns[part]]
+        dx, dy, points = arrays[:, : x.shape[0]]
+        bracket = _bisect(x, y, tau, k, points, *_listed_slopes(x, y, tau, k, i, j, dx, dy, points), width - 1)
+        first = np.minimum(bracket[0], listed - width)  # a window runs past no end of the listing
+        windows[part] = np.take_along_axis(points, first[:, None] + np.arange(width), axis=1)
+        lo[part], hi[part] = bracket - first
+    return windows, lo, hi
 
 
 def quantile_slopes(X, Y, tau, x_columns, y_columns):
@@ -364,9 +406,15 @@ def quantile_slopes(X, Y, tau, x_columns, y_columns):
     breakpoints among the pairwise slopes ``(y_i - y_j) / (x_i - x_j)`` over
     pairs with ``x_i != x_j`` (Koenker & Bassett 1978). The sorted list is
     bisected on the loss's right derivative, which never decreases and costs
-    one partition and one O(n) sum per step; all pairs of a block move in
-    lockstep. Residuals within a few units of rounding of each other count
-    as equal.
+    one partition and one O(n) sum per step, with the pairs moving in
+    lockstep. Each block is bisected only until every pair's bracket fits in
+    a window of at most 128 sorted slopes (fewer when the call has so many
+    pairs that their windows would take more than a quarter of one block
+    array), and the window is kept. After the blocks, one lockstep bisection
+    finishes the windows, as many pairs at a time as a quarter of one block
+    array holds rows; a pair meets the same breakpoints as in one bisection
+    to the end, so the slopes do not depend on the blocks or the windows.
+    Residuals within a few units of rounding of each other count as equal.
 
     Tie rule: a loss that falls by less than ``1e-12 * sum(|x - mean(x)|)``
     per unit of slope counts as flat. The listed slope is the smallest
@@ -389,13 +437,11 @@ def quantile_slopes(X, Y, tau, x_columns, y_columns):
         ])
     else:
         k = _quantile_rank(n, tau)
-        i, j = np.triu_indices(n, 1)
-        block = SLOPE_BLOCK_ENTRIES // listed
-        slopes = np.empty(x_columns.size)
-        arrays = np.empty((3, min(block, x_columns.size), listed))
-        for start in range(0, x_columns.size, block):
-            part = slice(start, start + block)
-            # Indexing X.T gathers only the block's columns; np.take would first copy all of X.
+        windows, lo, hi = _narrowed_windows(X, Y, tau, k, x_columns, y_columns)
+        chunk = max(SLOPE_BLOCK_ENTRIES // (4 * n), 1)
+        for start in range(0, x_columns.size, chunk):
+            part = slice(start, start + chunk)
             x, y = X.T[x_columns[part]], Y.T[y_columns[part]]
-            slopes[part] = _listed_slopes(x, y, tau, k, i, j, *arrays[:, : x.shape[0]])
+            lo[part] = _bisect(x, y, tau, k, windows[part], lo[part], hi[part], 0)[0]
+        slopes = np.take_along_axis(windows, lo[:, None], axis=1)[:, 0]
     return slopes + 0.0  # a listed dy = 0 over dx < 0 is -0.0; the simplex gives +0.0

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fpqr import QcovMetric, empirical_quantile, fit_fpqr, fit_pls, fit_quantile_regression, quantreg
+from fpqr import QcovMetric, empirical_quantile, fit_fpqr, fit_pls, fit_quantile_regression, qcov_matrix, quantreg
 from fpqr.evaluate import ModelRecipe, cross_validate, generate_simulation, make_simulation_spec, parse_recipe
 from fpqr.exceptions import DimensionMismatch
+from fpqr.fpqr import quantile_parts
+from fpqr.pls import extract_components
 
 from _oracles import check_loss_mean, local_minimum_certificate, reference_fpqr
 
@@ -181,6 +183,25 @@ class TestMetricChoices:
         pred = model.predict(X)
         assert pred.shape == Y.shape
         assert np.isfinite(pred).all()
+
+    @pytest.mark.parametrize("metric", ["li", "dodge", "choi"])
+    @pytest.mark.filterwarnings("ignore::fpqr.exceptions.DiscordantSlopesWarning")
+    def test_each_round_takes_the_qcov_matrix_of_its_blocks(self, metric):
+        # The extraction loop skips qcov_matrix's input checks, which the fit
+        # has made once; on every deflated block it must still get the same bits.
+        X, Y, _ = make_data(13, n=40, m=6, l=2)
+        cross_product, _, kind, tau = quantile_parts(0.3, metric)
+        rounds = []
+
+        def spy(Xa, Ya):
+            S = cross_product(Xa, Ya)
+            rounds.append((Xa.copy(), Ya.copy(), S))
+            return S
+
+        extract_components(X - X.mean(axis=0), Y - Y.mean(axis=0), 4, spy)
+        assert len(rounds) == 4
+        for Xa, Ya, S in rounds:
+            assert S.tobytes() == qcov_matrix(Xa, Ya, QcovMetric(kind, tau)).tobytes()
 
     def test_unknown_metric_rejected(self):
         X, Y, _ = make_data(10)

@@ -713,6 +713,82 @@ class TestQuantileSlopes:
             want = listed_quantile_slopes(A, B, tau, columns, columns)
             assert_array_equal(paired_slopes(A, B, tau), want)
 
+    @pytest.mark.parametrize("tau", [0.3, 0.99])
+    @pytest.mark.parametrize("layout", ["default", "chunks", "no-window"])
+    @pytest.mark.parametrize("n", [10, 20, 40])
+    def test_narrowed_blocks_finish_on_the_listed_slopes(self, n, layout, tau, monkeypatch):
+        # Each block is bisected only until every bracket fits a window; the
+        # windows are finished after the blocks. "chunks" makes blocks of two
+        # pairs and a finish over several chunks; "no-window" has so many pairs
+        # that only windows of one slope fit, so the blocks bisect to the end.
+        # Column 0 is n - 1 points on a gentle arc and one far right of and
+        # below them, so at tau = 0.99 its slope is the first finite one;
+        # column 1 mirrors x, so its slope is the last one, and its window is
+        # clipped at the end of the listing. Then normal, tied-integer and
+        # duplicated-x columns. Pairs repeat where a layout needs more.
+        listed = n * (n - 1) // 2
+        x = np.arange(n, dtype=float)
+        x[-1] = listed + 9
+        y = 0.01 * x**2
+        y[-1] = y[-2] - (x[-1] - x[-2])
+        rng = np.random.default_rng(n)
+        normal = rng.normal(size=(n, 2))
+        tied = rng.integers(-3, 4, size=(n, 2)).astype(float)
+        duplicated = np.repeat(rng.normal(size=((n + 1) // 2, 1)), 2, axis=0)[:n]
+        X = np.column_stack([x, -x, normal, tied, duplicated])
+        Y = np.column_stack([y, y, normal + rng.standard_t(2, size=(n, 2)), rng.integers(-3, 4, size=(n, 2)), normal[:, 0]])
+        columns = np.arange(7)
+        want = listed_quantile_slopes(X, Y, tau, columns, columns)
+        if tau == 0.99:
+            i, j = np.triu_indices(n, 1)
+            slopes = (y[i] - y[j]) / (x[i] - x[j])
+            assert want[0] == slopes.min() and want[1] == (-slopes).max()
+        repeats = {"default": 1, "chunks": max(1, n // 20), "no-window": listed // 28 + 1}[layout]
+        entries = {"default": quantreg.SLOPE_BLOCK_ENTRIES, "chunks": 2 * listed, "no-window": listed}[layout]
+        monkeypatch.setattr(quantreg, "SLOPE_BLOCK_ENTRIES", entries)
+        bisect, calls = quantreg._bisect, []
+
+        def spy(x, y, tau, k, points, lo, hi, width):
+            calls.append((x.shape[0], width))
+            return bisect(x, y, tau, k, points, lo, hi, width)
+
+        monkeypatch.setattr(quantreg, "_bisect", spy)
+        pairs = np.tile(columns, repeats)
+        got = quantreg.quantile_slopes(X, Y, tau, pairs, pairs)
+        assert got.tobytes() == (np.tile(want, repeats) + 0.0).tobytes()
+        finishes = [rows for rows, width in calls if width == 0]
+        window = max(width for rows, width in calls) + 1
+        if layout == "default":
+            assert window == min(128, listed) and finishes == [pairs.size]
+        elif layout == "chunks":
+            assert 1 < window < listed and len(finishes) > 1
+        else:
+            assert window == 1
+
+    @pytest.mark.parametrize("n", [10, 400])
+    def test_no_pairs_give_no_slopes(self, n):
+        X = np.random.default_rng(36).normal(size=(n, 2))
+        for empty in ([], np.array([], dtype=np.intp)):
+            got = quantreg.quantile_slopes(X, X, 0.5, empty, empty)
+            assert got.shape == (0,) and got.dtype == float
+
+    def test_listing_memory_at_the_papers_shape(self):
+        # 40 rows and 2,800 pairs, the pairs of one dodge cross product on a
+        # 40x700 table with 4 responses: block arrays of 84 pairs, then the
+        # windows finished in chunks. Bisecting each block to the end peaked
+        # at 3.46 arrays (1.81 MB); 4.1 leaves about 19% headroom, as in the
+        # tests below.
+        rng = np.random.default_rng(34)
+        X = rng.normal(size=(40, 2800))
+        Y = X + rng.standard_t(2, size=(40, 2800))
+        tracemalloc.start()
+        try:
+            paired_slopes(X, Y, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.1 * 8 * quantreg.SLOPE_BLOCK_ENTRIES
+
     def test_listing_memory_stays_within_four_block_arrays(self):
         # A listing block keeps three arrays of SLOPE_BLOCK_ENTRIES doubles
         # alive at once; with its index arrays and masks, 100 pairs at n = 100
