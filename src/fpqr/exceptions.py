@@ -1,17 +1,12 @@
 """Errors and warnings shared across the package."""
 
 __all__ = [
-    "AllZeroCrossProduct", "DataError", "DegenerateDesignWarning", "DimensionMismatch", "DiscordantSlopesWarning",
-    "IllConditionedWarning", "InvalidSpec", "ModelFormatError", "RankDeficient", "SolverFailure",
-    "ZeroVarianceWarning",
+    "DataError", "DegenerateDesignWarning", "DimensionMismatch", "DiscordantSlopesWarning",
+    "IllConditionedWarning", "InvalidSpec", "ModelFormatError", "RankDeficient", "SolverFailure", "ZeroVarianceWarning",
 ]
 
 import sys
 import warnings
-
-
-class AllZeroCrossProduct(RuntimeError):
-    """The cross-product matrix is exactly zero, so it has no leading direction."""
 
 
 class RankDeficient(RuntimeError):
@@ -19,7 +14,7 @@ class RankDeficient(RuntimeError):
 
 
 class SolverFailure(RuntimeError):
-    """A quantile-regression simplex ran out of pivots, or its optimum or a dodge/choi value overflows a double."""
+    """A quantile-regression simplex ran out of pivots, or a fit's result or a dodge/choi value leaves a double."""
 
 
 class DimensionMismatch(ValueError):

@@ -68,7 +68,8 @@ def fit_fpqr(X, Y, n_components=None, tau=0.5, metric="li", center="mean", least
         Quantile level, strictly between 0 and 1.
     metric : str or callable
         One of ``"li"``, ``"dodge"``, ``"choi"``, or a callable
-        ``(X_a, Y_a) -> (m, l) array`` supplying custom component directions.
+        ``(X_a, Y_a) -> finite (m, l) array`` supplying custom component
+        directions; it sees the blocks in binary units (see ``component_path``).
         ``"classical"`` is accepted only together with
         ``least_squares_gamma=True``; that pairing reproduces :func:`fit_pls`
         through this code path and exists for equivalence checking.

@@ -1,11 +1,10 @@
 """Dense-matrix building blocks: validation, column centering and the leading
-left singular direction of a cross-product matrix."""
+left singular direction of a cross-product matrix. Only :func:`as_matrix`
+checks; the fitting core checks each block once with it, before the rest."""
 
-__all__ = ["as_matrix", "center_columns", "leading_left_singular_vector"]
+__all__ = ["as_matrix"]
 
 import numpy as np
-
-from .exceptions import AllZeroCrossProduct
 
 CENTERING_MODES = ("mean", "none")
 
@@ -44,42 +43,17 @@ def center_columns(M, mode="mean"):
     With ``mode="none"`` the centers are all zero, so the result is an
     unchanged copy and downstream arithmetic needs no special casing.
     """
-    M = as_matrix(M, "M")
+    M = np.asarray(M, dtype=np.float64)
     centers = column_centers(M) if validate_center(mode) == "mean" else np.zeros(M.shape[1])
     return M - centers, centers
 
 
-def _fix_sign(w):
-    # Deterministic orientation: the largest-magnitude entry is positive,
-    # first index winning ties (np.argmax returns the first maximum).
-    idx = int(np.argmax(np.abs(w)))
-    if w[idx] < 0:
-        return -w
-    return w
-
-
 def leading_left_singular_vector(S):
-    """Unit vector ``w`` maximizing ``||S.T @ w||^2`` and the attained maximum.
+    """The unit vector ``w`` maximizing ``||S.T @ w||`` for a nonzero cross-product matrix ``S`` (m, l).
 
-    Parameters
-    ----------
-    S : array, shape (m, l)
-        Cross-product matrix between predictor and response columns.
-
-    Returns
-    -------
-    w : array, shape (m,)
-        Leading left singular direction with a deterministic sign.
-    value : float
-        The leading eigenvalue of ``S @ S.T``.
-
-    Raises
-    ------
-    AllZeroCrossProduct
-        If ``S`` is exactly zero; how small is too small is the caller's call.
+    The extraction loop stops before it asks for the direction of a zero
+    ``S``. The sign is deterministic: the largest-magnitude entry is
+    positive, the first winning ties (``np.argmax`` returns the first maximum).
     """
-    S = as_matrix(S, "S")
-    if not S.any():
-        raise AllZeroCrossProduct("cross-product matrix is zero")
-    U, s, _ = np.linalg.svd(S, full_matrices=False)
-    return _fix_sign(U[:, 0]), float(s[0] ** 2)
+    w = np.linalg.svd(S, full_matrices=False)[0][:, 0]
+    return -w if w[np.argmax(np.abs(w))] < 0 else w

@@ -20,11 +20,12 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, IllConditionedWarning, RankDeficient, warn
+from .exceptions import DimensionMismatch, IllConditionedWarning, RankDeficient, SolverFailure, warn
 from .linalg import as_matrix, center_columns, leading_left_singular_vector
 
 _STOP_RTOL = 1e-12  # relative to the fit's own first round; see extract_components
 _RCOND_WARN = 1e-12
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -150,10 +151,11 @@ def resolve_components(n_components, n, m):
 def extract_components(X0, Y0, n_components, cross_product):
     """Run the deflation loop and stack its outputs.
 
-    ``cross_product`` maps the current blocks ``(X_a, Y_a)`` to an (m, l)
-    matrix ``S_a``. The loop stops early once ``||S_a||_F <= 1e-12 ||S_0||_F``
-    (at a = 0, only an exactly zero ``S_0``; stop reason ``"small-cross-product"``)
-    or a score has ``t @ t <= (1e-12 ||X0||_F)**2`` (``"small-score"``).
+    ``cross_product`` maps the current blocks ``(X_a, Y_a)`` to a finite (m, l)
+    matrix ``S_a``; another shape, a NaN or an inf raises ``ValueError``. The
+    loop stops early once ``||S_a||_F <= 1e-12 ||S_0||_F`` (at a = 0, only an
+    exactly zero ``S_0``; stop reason ``"small-cross-product"``) or a score
+    has ``t @ t <= (1e-12 ||X0||_F)**2`` (``"small-score"``).
 
     ``X0`` is deflated in place: the caller hands over a block it owns and
     does not read afterwards, so the predictors exist once. ``Y0`` is
@@ -171,12 +173,14 @@ def extract_components(X0, Y0, n_components, cross_product):
         S = np.asarray(cross_product(Xa, Ya), dtype=float)
         if S.shape != (m, l):
             raise ValueError(f"cross product returned shape {S.shape}, expected {(m, l)}")
+        if not np.isfinite(S).all():
+            raise ValueError(f"cross product of component {a + 1} contains non-finite entries")
         size = np.linalg.norm(S)
         min_size = min_size if a else _STOP_RTOL * size
         if size <= min_size:
             reason = "small-cross-product"
             break
-        w, _ = leading_left_singular_vector(S)
+        w = leading_left_singular_vector(S)
         t = Xa @ w
         tt = float(t @ t)
         if tt <= min_tt:
@@ -228,6 +232,11 @@ def component_path(X, Y, n_components, center, cross_product, inner, metric=None
     the first h components are copied to contiguous memory before use.
     ``inner(decomposition, Yc)`` takes the h-component prefix and returns
     ``gamma`` (h, l) and the intercepts (l,).
+
+    The fit runs in binary units: X and Y are each scaled exactly by the power
+    of two that brings its largest |entry| into [0.5, 1). ``finish`` scales each
+    result back with ``np.ldexp`` and raises :class:`SolverFailure` where one
+    overflows, or where nonzero ``gamma`` or coefficients lie wholly below 2**-1022.
     """
     X = as_matrix(X, "X")
     Y = as_matrix(Y, "Y")
@@ -235,8 +244,11 @@ def component_path(X, Y, n_components, center, cross_product, inner, metric=None
         raise DimensionMismatch(f"X has {X.shape[0]} rows, Y has {Y.shape[0]}")
     n, m = X.shape
     extracted = resolve_components(n_components, n, m)
-    Xc, x_centers = center_columns(X, center)
-    Yc, y_centers = center_columns(Y, center)
+    # M * 2**-e is exact and lies in (-1, 1) for the e with M's largest |entry| in [2**(e-1), 2**e).
+    ex, ey = (int(np.frexp(np.abs(M).max())[1]) for M in (X, Y))
+    Xc, x_centers = center_columns(np.ldexp(X, -ex), center)
+    Yc, y_centers = center_columns(np.ldexp(Y, -ey), center)
+    x_centers, y_centers = np.ldexp(x_centers, ex), np.ldexp(y_centers, ey)
     path = extract_components(Xc, Yc, extracted, cross_product)
 
     def finish(h):
@@ -247,7 +259,16 @@ def component_path(X, Y, n_components, center, cross_product, inner, metric=None
         reason = path.stop_reason if path.n_components < h else "requested"
         prefix = LatentDecomposition(*(np.ascontiguousarray(a[:, :h]) for a in arrays), reason)
         gamma, intercepts = inner(prefix, Yc)
-        return FittedModel(prefix, gamma, intercepts, x_centers, y_centers, center, metric, tau, h)
+        least = _TINY if gamma.any() else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf result fails the range check below
+            q, t = np.ldexp(prefix.y_loadings, ey - ex), np.ldexp(prefix.scores, ex)
+            real = LatentDecomposition(prefix.weights, prefix.x_loadings, q, t, reason)
+            model = FittedModel(real, np.ldexp(gamma, ey - ex), np.ldexp(intercepts, ey), x_centers, y_centers,
+                                center, metric, tau, h)
+        results = zip((q, t, model.intercepts, model.gamma, model.coefficients), (0.0, 0.0, 0.0, least, least))
+        if not all(low <= np.abs(a).max(initial=0.0) <= _HUGE for a, low in results):
+            raise SolverFailure("the fit's coefficients, or another of its results, do not fit in a double")
+        return model
 
     return finish
 

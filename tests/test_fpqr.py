@@ -230,6 +230,21 @@ class TestMetricChoices:
         with pytest.raises(ValueError, match=r"cross product returned shape \(1, 1\)"):
             fit_fpqr(X, Y, metric=lambda Xa, Ya: np.ones((1, 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_custom_metric_non_finite_entry_rejected(self, bad):
+        # The first round's cross product is finite; the second holds one bad entry.
+        X, Y, _ = make_data(12)
+        rounds = []
+
+        def metric(Xa, Ya):
+            S = Xa.T @ Ya
+            S[0, 0] = bad if rounds else S[0, 0]
+            rounds.append(S)
+            return S
+
+        with pytest.raises(ValueError, match="^cross product of component 2 contains non-finite entries$"):
+            fit_fpqr(X, Y, n_components=3, metric=metric)
+
 
 class TestDegenerateInputs:
     def test_zero_signal_falls_back_to_quantile_intercepts(self):

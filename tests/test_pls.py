@@ -252,6 +252,16 @@ class TestPredictValidation:
             fit_pls(np.ones((4, 2)), np.ones((5, 1)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("block", ["X", "Y"])
+@pytest.mark.parametrize("fit", [fit_pls, fit_fpqr], ids=["pls", "fpqr"])
+def test_non_finite_block_rejected_by_name(fit, block, bad):
+    X, Y = make_data(14)
+    (X if block == "X" else Y)[3, 1] = bad
+    with pytest.raises(ValueError, match=f"^{block} contains non-finite entries$"):
+        fit(X, Y, 2)
+
+
 class TestBackProject:
     def _decomposition(self, W, P, l):
         return LatentDecomposition(

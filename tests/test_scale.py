@@ -1,16 +1,19 @@
 """A fit does not depend on the units of its data: rescaling X, or rescaling
 and shifting Y, rescales the predictions and keeps the component count, and
-exactly degenerate data stops extraction at every scale."""
+exactly degenerate data stops extraction at every scale. Power-of-two
+rescaling is exact: the fit runs in binary units."""
 
 import contextlib
+import functools
 import io
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fpqr import ModelRecipe, parse_recipe
+from fpqr import ModelRecipe, SolverFailure, parse_recipe
 from fpqr.cli import main
 from fpqr.io import read_dataset, split_response_columns, write_matrix_csv
 
@@ -57,6 +60,74 @@ def test_predictions_are_equivariant(tag, center, seed, log_c, d):
     ]:
         assert scaled.effective_components == base.effective_components
         assert relative_error(scaled.predict(predicted), expected) <= 1e-6
+
+
+TINY, HUGE = np.finfo(float).tiny, np.finfo(float).max
+
+
+@functools.cache
+def unscaled_fit(tag):
+    return recipe(tag).fit(*latent_data(8, n=24, m=5, l=2), 3)
+
+
+# The examples put the coefficients near 2^1000 and 2^-1000, beyond the
+# largest double, in the subnormal range and below it.
+@pytest.mark.parametrize("tag", TAGS)
+@settings(max_examples=40)
+@given(kx=st.integers(-1000, 1000), ky=st.integers(-1000, 1000))
+@example(kx=-700, ky=300)
+@example(kx=1000, ky=0)
+@example(kx=-1000, ky=1000)
+@example(kx=1000, ky=-45)
+@example(kx=1000, ky=-1000)
+def test_power_of_two_scaling_is_exact(tag, kx, ky):
+    # X -> 2^kx X and Y -> 2^ky Y give the same fit in binary units. So the
+    # coefficients are 2^(ky - kx) times the unscaled ones, bit for bit, where
+    # that is a normal double. Where the y-loadings overflow, or gamma or the
+    # coefficients overflow or lie wholly below 2^-1022, the fit raises.
+    base = unscaled_fit(tag)
+    X, Y = latent_data(8, n=24, m=5, l=2)
+    with np.errstate(over="ignore"):
+        expected = np.ldexp(base.coefficients, ky - kx)
+        q, gamma, coefficients = (np.abs(np.ldexp(a, ky - kx)).max()
+                                  for a in (base.decomposition.y_loadings, base.gamma, base.coefficients))
+    fit = functools.partial(recipe(tag).fit, np.ldexp(X, kx), np.ldexp(Y, ky), 3)
+    if q <= HUGE and TINY <= gamma <= HUGE and TINY <= coefficients <= HUGE:
+        normal = np.abs(expected) >= TINY
+        assert np.array_equal(fit().coefficients[normal], expected[normal])
+    else:
+        with pytest.raises(SolverFailure, match="do not fit in a double"):
+            fit()
+
+
+def top_of_the_range(n, response):
+    # Predictor 0 alternates between +-1.7e308; the other two sit about 2^-1024
+    # below it in binary units, far under the extraction's stop rule.
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 3))
+    X[:, 0] = np.where(np.arange(n) % 2, 1.7e308, -1.7e308)
+    return X, response * X[:, :1] + rng.normal(size=(n, 1))
+
+
+@pytest.mark.parametrize("n", [20, 400])  # both sides of the 362-row slope listing
+@pytest.mark.parametrize("tag", TAGS)
+def test_a_predictor_at_the_top_of_the_double_range_fits(tag, n):
+    X, Y = top_of_the_range(n, 0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        model = recipe(tag).fit(X, Y, 2)
+        smaller = recipe(tag).fit(np.ldexp(X, -8), Y, 2)
+    assert model.stop_reason == "small-cross-product"
+    assert np.array_equal(model.coefficients, np.ldexp(smaller.coefficients, -8))
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_coefficients_below_the_normal_range_raise(tag):
+    # A response of order 1 beside that predictor: its coefficient, about
+    # 1e-309, would lose bits in the subnormal range.
+    X, Y = top_of_the_range(20, 0.0)
+    with pytest.raises(SolverFailure, match="do not fit in a double"):
+        recipe(tag).fit(X, Y, 2)
 
 
 @pytest.mark.parametrize("c", SCALES)
