@@ -14,7 +14,7 @@ import numpy as np
 
 from .exceptions import DimensionMismatch, InvalidSpec
 from .fpqr import FPQR_METRICS, fit_fpqr, quantile_parts
-from .linalg import as_matrix, validate_center
+from .linalg import as_blocks, as_matrix, validate_center
 from .pls import PLS_PARTS, as_count, component_cap, component_path, fit_pls, resolve_components
 from .quantreg import check_loss, validate_tau
 
@@ -22,37 +22,28 @@ from .quantreg import check_loss, validate_tau
 # metrics
 
 
-def _as_2d(a, name):
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 1-d or 2-d")
-    return arr
-
-
 def _same_shape(a, b, names, what):
-    A, B = _as_2d(a, names[0]), _as_2d(b, names[1])
+    A, B = as_matrix(a, names[0]), as_matrix(b, names[1])
     if A.shape != B.shape:
         raise DimensionMismatch(f"{what} shapes differ: {A.shape} vs {B.shape}")
     return A, B
 
 
 def beta_distance(b_estimated, b_true):
-    """Frobenius distance between two coefficient matrices."""
+    """Frobenius distance between two coefficient matrices of one shape, each finite and non-empty."""
     A, B = _same_shape(b_estimated, b_true, ("b_estimated", "b_true"), "coefficient")
     return float(np.linalg.norm(A - B))
 
 
 def test_mse(y_true, y_pred):
-    """Mean squared prediction error over all response entries."""
+    """Mean squared prediction error over all response entries; both arrays finite, non-empty, of one shape."""
     T, P = _same_shape(y_true, y_pred, ("y_true", "y_pred"), "response")
     return float(np.mean((T - P) ** 2))
 
 
 def quantile_error(y_true, y_pred, tau):
     """Check loss of the prediction errors, summed over response columns and
-    averaged over rows."""
+    averaged over rows; both arrays finite, non-empty, of one shape."""
     tau = validate_tau(tau)
     T, P = _same_shape(y_true, y_pred, ("y_true", "y_pred"), "response")
     return float(check_loss(T - P, tau).sum() / T.shape[0])
@@ -151,18 +142,19 @@ def cross_validate(X, Y, candidates, folds=5, fitter=None, seed=0):
     Rows are shuffled once with a generator keyed by ``seed`` and split into
     ``folds`` contiguous blocks. Centering happens inside each training fit,
     so no statistic of the held-out rows leaks into it. A candidate whose fit
-    or prediction fails in any fold is excluded and recorded with the first
-    fold it failed in. Exact error ties go to the smaller component count.
+    or prediction fails in any fold (a non-finite prediction fails) is
+    excluded and recorded with the first fold it failed in. Exact error ties
+    go to the smaller component count.
 
     A :class:`ModelRecipe` extracts once per fold, at the largest candidate the
     fold supports, and finishes each h from the first h components, bit for
     bit the refit at h; if that extraction raises, every candidate left is
     excluded with ``"fold i: <error>"``. A callable fitter refits per candidate.
+
+    ``X`` and ``Y`` are checked as the fits check them: finite and non-empty,
+    with one row count, and a 1-d array is one column.
     """
-    X = as_matrix(X, "X")
-    Y = _as_2d(Y, "Y")
-    if X.shape[0] != Y.shape[0]:
-        raise DimensionMismatch(f"X has {X.shape[0]} rows, Y has {Y.shape[0]}")
+    X, Y = as_blocks(X, Y)
     if fitter is None:
         raise ValueError("fitter is required: a ModelRecipe or a callable (X, Y, h) -> model")
     folds = as_count(folds, "folds", 2)
@@ -191,11 +183,11 @@ def cross_validate(X, Y, candidates, folds=5, fitter=None, seed=0):
             continue
         for h in scored:
             try:
-                predicted = fit_at(h).predict(X[~mask])
+                error = test_mse(Y[~mask], fit_at(h).predict(X[~mask]))
             except _FIT_ERRORS as exc:
                 invalid[h] = f"fold {i}: {exc}"
                 continue
-            fold_errors[h].append(test_mse(Y[~mask], predicted))
+            fold_errors[h].append(error)
 
     valid = [h for h in candidates if h not in invalid]
     if not valid:

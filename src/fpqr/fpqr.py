@@ -60,8 +60,9 @@ def fit_fpqr(X, Y, n_components=None, tau=0.5, metric="li", center="mean", least
 
     Parameters
     ----------
-    X : array, shape (n, m)
-    Y : array, shape (n, l)
+    X : array, shape (n, m) or (n,)
+    Y : array, shape (n, l) or (n,)
+        Finite and non-empty, with one row count; a 1-d array is one column (see :func:`~fpqr.linalg.as_matrix`).
     n_components : int, optional
         Defaults to ``min(10, m, n - 1)``.
     tau : float

@@ -158,8 +158,10 @@ def split_response_columns(header, data, response_names):
 
 
 def write_matrix_csv(path, header, matrix):
-    """Write a numeric matrix under a header, one float per cell, round-trip exact."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    """Write a numeric matrix under a header, one float per cell, round-trip exact. A 1-d matrix is one
+    column; unlike an array argument elsewhere, the matrix may hold NaN and inf, which are written as is."""
+    matrix = np.asarray(matrix, dtype=float)
+    matrix = matrix[:, None] if matrix.ndim == 1 else matrix
     if matrix.shape[1] != len(header):
         raise ValueError(f"matrix has {matrix.shape[1]} columns, header has {len(header)}")
     write_table_csv(path, header, (map(repr, row.tolist()) for row in matrix))

@@ -1,24 +1,35 @@
 """Dense-matrix building blocks: validation, column centering and the leading
-left singular direction of a cross-product matrix. Only :func:`as_matrix`
-checks; the fitting core checks each block once with it, before the rest."""
+left singular direction of a cross-product matrix. :func:`as_matrix` is the
+package's one array check; the fitting core checks each block once with it."""
 
 __all__ = ["as_matrix"]
 
 import numpy as np
 
+from .exceptions import DimensionMismatch
+
 CENTERING_MODES = ("mean", "none")
 
 
 def as_matrix(a, name="matrix"):
-    """Coerce ``a`` to a finite, non-empty 2-d float64 array in C order, so one layout reaches the fit."""
+    """Coerce ``a`` to a finite, non-empty 2-d float64 array in C order, so one layout reaches the fit.
+    A 1-d ``a`` is one column, a view of ``a`` where no copy is needed; else a ``ValueError`` names ``name``."""
     M = np.asarray(a, dtype=np.float64, order="C")
-    if M.ndim != 2:
-        raise ValueError(f"{name} must be 2-d, got {M.ndim}-d")
-    if M.shape[0] == 0 or M.shape[1] == 0:
+    if M.ndim not in (1, 2):
+        raise ValueError(f"{name} must be 1-d or 2-d, got {M.ndim}-d")
+    if M.size == 0:
         raise ValueError(f"{name} must be non-empty, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise ValueError(f"{name} contains non-finite entries")
-    return M
+    return M[:, None] if M.ndim == 1 else M
+
+
+def as_blocks(X, Y):
+    """``X`` and ``Y`` through :func:`as_matrix`, with one row count, else :class:`DimensionMismatch`."""
+    X, Y = as_matrix(X, "X"), as_matrix(Y, "Y")
+    if X.shape[0] != Y.shape[0]:
+        raise DimensionMismatch(f"X has {X.shape[0]} rows, Y has {Y.shape[0]}")
+    return X, Y
 
 
 def column_centers(M):

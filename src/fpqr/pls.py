@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import DimensionMismatch, IllConditionedWarning, RankDeficient, SolverFailure, warn
-from .linalg import as_matrix, center_columns, leading_left_singular_vector
+from .linalg import as_blocks, as_matrix, center_columns, leading_left_singular_vector
 
 _STOP_RTOL = 1e-12  # relative to the fit's own first round; see extract_components
 _RCOND_WARN = 1e-12
@@ -105,7 +105,8 @@ class FittedModel:
 
         Parameters
         ----------
-        X : array, shape (n_new, m)
+        X : array, shape (n_new, m), or (n_new,) when m = 1
+            Finite and non-empty (see :func:`~fpqr.linalg.as_matrix`).
 
         Returns
         -------
@@ -238,10 +239,7 @@ def component_path(X, Y, n_components, center, cross_product, inner, metric=None
     result back with ``np.ldexp`` and raises :class:`SolverFailure` where one
     overflows, or where nonzero ``gamma`` or coefficients lie wholly below 2**-1022.
     """
-    X = as_matrix(X, "X")
-    Y = as_matrix(Y, "Y")
-    if X.shape[0] != Y.shape[0]:
-        raise DimensionMismatch(f"X has {X.shape[0]} rows, Y has {Y.shape[0]}")
+    X, Y = as_blocks(X, Y)
     n, m = X.shape
     extracted = resolve_components(n_components, n, m)
     # M * 2**-e is exact and lies in (-1, 1) for the e with M's largest |entry| in [2**(e-1), 2**e).
@@ -278,8 +276,9 @@ def fit_pls(X, Y, n_components=None, center="mean"):
 
     Parameters
     ----------
-    X : array, shape (n, m)
-    Y : array, shape (n, l)
+    X : array, shape (n, m) or (n,)
+    Y : array, shape (n, l) or (n,)
+        Finite and non-empty, with one row count; a 1-d array is one column (see :func:`~fpqr.linalg.as_matrix`).
     n_components : int, optional
         Defaults to ``min(10, m, n - 1)``.
     center : {"mean", "none"}

@@ -27,7 +27,7 @@ from .exceptions import (
     ZeroVarianceWarning,
     warn,
 )
-from .linalg import as_matrix, column_centers
+from .linalg import as_blocks, as_matrix, column_centers
 from .quantreg import _binary_exponents, _column_norms, _quantile_rank, _within_rounding
 from .quantreg import empirical_quantile, psi, quantile_slopes, validate_tau
 
@@ -54,14 +54,12 @@ class QcovMetric:
 
 
 def _pair(z1, z2):
-    a = np.asarray(z1, dtype=float).ravel()
-    b = np.asarray(z2, dtype=float).ravel()
+    a = as_matrix(np.ravel(z1), "z1").ravel()
+    b = as_matrix(np.ravel(z2), "z2").ravel()
     if a.size != b.size:
         raise DimensionMismatch(f"z1 has length {a.size}, z2 has length {b.size}")
     if a.size < 2:
         raise ValueError("need at least 2 paired observations")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("inputs contain non-finite entries")
     return a, b
 
 
@@ -139,8 +137,9 @@ def qcov_matrix(X, Y, metric):
 
     Parameters
     ----------
-    X : array, shape (n, m)
-    Y : array, shape (n, l)
+    X : array, shape (n, m) or (n,)
+    Y : array, shape (n, l) or (n,)
+        Finite and non-empty, with one row count; a 1-d array is one column (see :func:`~fpqr.linalg.as_matrix`).
     metric : QcovMetric
 
     Returns
@@ -162,10 +161,7 @@ def qcov_matrix(X, Y, metric):
     """
     if not isinstance(metric, QcovMetric):
         raise TypeError(f"metric must be a QcovMetric, got {type(metric).__name__}")
-    X = as_matrix(X, "X")
-    Y = as_matrix(Y, "Y")
-    if X.shape[0] != Y.shape[0]:
-        raise DimensionMismatch(f"X has {X.shape[0]} rows, Y has {Y.shape[0]}")
+    X, Y = as_blocks(X, Y)
     if X.shape[0] < 2:
         raise ValueError("need at least 2 rows")
     return _metric_matrix(X, Y, metric)

@@ -16,6 +16,7 @@ from .exceptions import (
     SolverFailure,
     warn,
 )
+from .linalg import as_matrix
 
 # Values per temporary array in :func:`quantile_slopes`. A listing block holds
 # the pairwise slopes of as many column pairs as fit, in three such arrays
@@ -73,15 +74,11 @@ def psi(u, tau):
 def empirical_quantile(v, tau):
     """Lower empirical quantile: the ceil(n*tau)-th order statistic of ``v``.
 
-    Always returns an element of ``v``, which keeps the check-loss weights
-    well defined at the quantile itself.
+    Always returns an element of ``v`` (read flat, finite and non-empty),
+    which keeps the check-loss weights well defined at the quantile itself.
     """
     tau = validate_tau(tau)
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size == 0:
-        raise ValueError("cannot take a quantile of an empty vector")
-    if not np.isfinite(v).all():
-        raise ValueError("v contains non-finite entries")
+    v = as_matrix(np.ravel(v), "v").ravel()
     return float(np.sort(v)[_quantile_rank(v.size, tau) - 1])
 
 
@@ -236,10 +233,10 @@ def fit_quantile_regression(X, y, tau):
 
     Parameters
     ----------
-    X : array, shape (n, p)
+    X : array, shape (n, p) or (n,)
         Predictor columns. A zero-column array fits an intercept-only model.
     y : array, shape (n,)
-        Response vector.
+        Response vector, finite and non-empty; any array of n entries is read flat.
     tau : float
         Quantile level, strictly between 0 and 1.
 
@@ -273,16 +270,13 @@ def fit_quantile_regression(X, y, tau):
     coefficient 0 and is named in :class:`DegenerateDesignWarning`.
     """
     tau = validate_tau(tau)
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size == 0:
-        raise ValueError("y is empty")
-    if not np.isfinite(y).all():
-        raise ValueError("y contains non-finite entries")
+    y = as_matrix(np.ravel(y), "y").ravel()
+    # X is checked here, not by as_matrix: zero columns are the intercept-only fit.
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     if X.ndim != 2:
-        raise ValueError(f"X must be 2-d, got {X.ndim}-d")
+        raise ValueError(f"X must be 1-d or 2-d, got {X.ndim}-d")
     if X.shape[0] != y.size:
         raise DimensionMismatch(f"X has {X.shape[0]} rows, y has {y.size}")
     if X.size and not np.isfinite(X).all():
@@ -304,7 +298,7 @@ def fit_quantile_regression(X, y, tau):
     return QrFit(coefficients=coefficients, intercept=intercept, objective=objective, iterations=iterations)
 
 
-def _listed_slopes(x, y, tau, k, i, j, dx, dy, points):
+def _listed_slopes(x, y, i, j, dx, dy, points):
     # x, y: one column pair per row; i, j: the row-index pairs i < j; dx, dy,
     # points: arrays of one row per pair and one column per (i, j), filled in
     # place with the x and y differences and the sorted slopes. Returns each
@@ -312,10 +306,9 @@ def _listed_slopes(x, y, tau, k, i, j, dx, dy, points):
     # no breakpoint (inf, sorted last). An overflowing slope is a breakpoint
     # beyond the double range (-inf or inf), left out of the bracket: its two x
     # are within 2**-1022, so near 0 and far from the row of largest |x|, which
-    # makes the loss rise beyond the finite breakpoints on either side. The
-    # listing reads neither tau nor k. Every index is in range, so mode="clip"
-    # gathers exactly, without the buffered copy of out that the default
-    # mode="raise" makes.
+    # makes the loss rise beyond the finite breakpoints on either side. Every
+    # index is in range, so mode="clip" gathers exactly, without the buffered
+    # copy of out that the default mode="raise" makes.
     np.take(x, i, axis=1, out=dx, mode="clip")
     dx -= np.take(x, j, axis=1, out=points, mode="clip")
     np.take(y, i, axis=1, out=dy, mode="clip")
@@ -378,7 +371,7 @@ def _narrowed_windows(X, Y, tau, k, x_columns, y_columns):
         # Indexing X.T gathers only the block's columns; np.take would first copy all of X.
         x, y = X.T[x_columns[part]], Y.T[y_columns[part]]
         dx, dy, points = arrays[:, : x.shape[0]]
-        bracket = _bisect(x, y, tau, k, points, *_listed_slopes(x, y, tau, k, i, j, dx, dy, points), width - 1)
+        bracket = _bisect(x, y, tau, k, points, *_listed_slopes(x, y, i, j, dx, dy, points), width - 1)
         first = np.minimum(bracket[0], listed - width)  # a window runs past no end of the listing
         windows[part] = np.take_along_axis(points, first[:, None] + np.arange(width), axis=1)
         lo[part], hi[part] = bracket - first

@@ -246,6 +246,11 @@ class TestWriter:
         with pytest.raises(ValueError, match="matrix has 2 columns, header has 3"):
             write_matrix_csv(tmp_path / "m.csv", ["a", "b", "c"], np.ones((4, 2)))
 
+    def test_a_vector_is_one_column(self, tmp_path):
+        write_matrix_csv(tmp_path / "v.csv", ["y"], np.array([1.0, 2.0, 3.0]))
+        write_matrix_csv(tmp_path / "m.csv", ["y"], np.array([[1.0], [2.0], [3.0]]))
+        assert (tmp_path / "v.csv").read_bytes() == (tmp_path / "m.csv").read_bytes() == b"y\r\n1.0\r\n2.0\r\n3.0\r\n"
+
     def test_round_trip_through_the_reader(self, tmp_path):
         values = np.random.default_rng(3).standard_t(2, size=(50, 4)) * 10.0 ** np.arange(-150, 150, 75)
         write_matrix_csv(tmp_path / "m.csv", ["a", "b", "c", "d"], values)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -162,6 +164,18 @@ class TestCrossValidate:
         assert 6 not in result.candidate_components
         assert 6 in result.invalid_candidates
         assert "fold" in result.invalid_candidates[6]
+
+    def test_non_finite_prediction_excludes_its_candidate(self):
+        # test_mse refuses a NaN prediction; the candidate is excluded as a failed prediction.
+        X, Y = rank3_data(seed=12)
+
+        def fitter(X_train, Y_train, h):
+            model = fit_pls(X_train, Y_train, h)
+            return model if h < 3 else dataclasses.replace(model, intercepts=np.full(Y.shape[1], np.nan))
+
+        result = cross_validate(X, Y, [2, 3], fitter=fitter, seed=0)
+        assert result.candidate_components == [2]
+        assert result.invalid_candidates == {3: "fold 0: y_pred contains non-finite entries"}
 
     def test_all_candidates_failing_raises(self):
         rng = np.random.default_rng(9)

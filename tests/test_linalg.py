@@ -32,7 +32,7 @@ class TestCenterColumns:
             center_columns([[1.0]], mode="median")
 
     @pytest.mark.parametrize(
-        "shape, message", [((2, 2, 2), "must be 2-d, got 3-d"), ((0, 3), "must be non-empty")], ids=["3-d", "empty"]
+        "shape, message", [((2, 2, 2), "must be 1-d or 2-d, got 3-d"), ((0, 3), "must be non-empty")], ids=["3-d", "empty"]
     )
     def test_not_a_non_empty_matrix_rejected(self, shape, message):
         with pytest.raises(ValueError, match=message):

@@ -240,9 +240,9 @@ class TestFitQuantileRegression:
             fit_quantile_regression([[1.0], [np.nan], [2.0]], [1.0, 2.0, 3.0], 0.5)
 
     def test_empty_y_or_3d_x_rejected(self):
-        with pytest.raises(ValueError, match="y is empty"):
+        with pytest.raises(ValueError, match="y must be non-empty"):
             fit_quantile_regression(np.ones((0, 1)), [], 0.5)
-        with pytest.raises(ValueError, match="X must be 2-d, got 3-d"):
+        with pytest.raises(ValueError, match="X must be 1-d or 2-d, got 3-d"):
             fit_quantile_regression(np.ones((3, 1, 1)), [1.0, 2.0, 3.0], 0.5)
 
     def test_overflowing_optimum_raises_solver_failure(self):
@@ -831,8 +831,8 @@ class TestQuantileSlopes:
         monkeypatch.setattr(quantreg, "SLOPE_BLOCK_ENTRIES", 4 * n * (n - 1) // 2)
         listed, addresses = quantreg._listed_slopes, set()
 
-        def spy(x, y, tau, k, i, j, dx, dy, points):
-            slopes = listed(x, y, tau, k, i, j, dx, dy, points)
+        def spy(x, y, i, j, dx, dy, points):
+            slopes = listed(x, y, i, j, dx, dy, points)
             assert_array_equal((points == np.inf).sum(axis=1), (dx == 0.0).sum(axis=1))
             addresses.add(tuple(a.__array_interface__["data"][0] for a in (dx, dy, points)))
             return slopes

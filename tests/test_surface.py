@@ -1,5 +1,6 @@
 """The public surface: each name is listed once, in the ``__all__`` of the
-module that defines it, and the package republishes the union."""
+module that defines it, and the package republishes the union. And no
+function in the package takes a parameter it never reads."""
 
 import ast
 import collections
@@ -7,6 +8,7 @@ import importlib
 import inspect
 import pkgutil
 import types
+from pathlib import Path
 
 import fpqr
 
@@ -45,3 +47,20 @@ def test_package_init_lists_no_names():
     tree = ast.parse(inspect.getsource(fpqr))
     strings = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)]
     assert strings == [ast.get_docstring(tree, clean=False), fpqr.__version__]
+
+
+def test_every_parameter_is_read():
+    # A parameter that no line of its function (nested functions included)
+    # reads is dead weight at every call site; a name starting with "_" says
+    # the signature is fixed from outside and is exempt.
+    unread = []
+    for path in sorted(Path(fpqr.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            names = [arg.arg for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg] if arg]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for part in body for n in ast.walk(part) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno} {name}" for name in names if name not in read and name[0] != "_"]
+    assert unread == []
