@@ -93,8 +93,6 @@ def _load_xy(args):
             raise ValueError("--response-cols named no columns")
         header, table = read_dataset(args.data)
         X, Y, x_names, y_names = split_response_columns(header, table, names)
-    if X.shape[0] != Y.shape[0]:
-        raise DataError(f"predictors have {X.shape[0]} rows but responses have {Y.shape[0]}")
     return X, Y, x_names, y_names
 
 

@@ -23,7 +23,7 @@ from .quantreg import fit_quantile_regression, validate_tau
 FPQR_METRICS = ("li", "dodge", "choi")
 
 
-def quantile_parts(tau=0.5, metric="li", least_squares_gamma=False):
+def quantile_parts(tau, metric, least_squares_gamma=False):
     """What :func:`fit_fpqr` hands the fitting core after ``center``: cross product, inner fit, metric, tau."""
     tau = validate_tau(tau)
     if callable(metric):

@@ -225,7 +225,7 @@ def _loadings_inner(decomposition, Yc):
 PLS_PARTS = (lambda Xa, Ya: Xa.T @ Ya, _loadings_inner, None, None)
 
 
-def component_path(X, Y, n_components, center, cross_product, inner, metric=None, tau=None):
+def component_path(X, Y, n_components, center, cross_product, inner, metric, tau):
     """Validate and center the data, extract ``n_components``, and return ``finish``.
 
     ``finish(h)`` is the fit at any ``h`` up to ``n_components`` bit for bit,

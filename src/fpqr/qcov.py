@@ -28,7 +28,7 @@ from .exceptions import (
     warn,
 )
 from .linalg import as_blocks, as_matrix, column_centers
-from .quantreg import _binary_exponents, _column_norms, _quantile_rank, _within_rounding
+from .quantreg import _binary_exponents, _dropped_beside_intercept, _quantile_rank
 from .quantreg import empirical_quantile, psi, quantile_slopes, validate_tau
 
 METRIC_KINDS = ("classical", "li", "dodge", "choi")
@@ -76,7 +76,7 @@ def qcov_li(z1, z2, tau):
 
 def _slope_values(kind, X, Y, tau, correlation=False):
     # Dodge or choi values between every column of X and of Y, flattened row-major. A degenerate pair (a regressor
-    # the QR rule drops; for choi also discordant slopes) gets 0; each category warns once, counting its entries.
+    # the simplex's QR test drops; for choi also discordant slopes) gets 0; each category warns once with its count.
     # Variances, slopes and their products stay in binary units (see quantile_slopes); each value returns to
     # real units in one exact ldexp, so nothing over- or underflows where the value itself fits in a double.
     m, l = X.shape[1], Y.shape[1]
@@ -85,8 +85,7 @@ def _slope_values(kind, X, Y, tau, correlation=False):
     ex, ey = _binary_exponents(X), _binary_exponents(Y)
     X, Y = np.ldexp(X, -ex), np.ldexp(Y, -ey)
     var_x, var_y = X.var(axis=0)[jx], Y.var(axis=0)[jy]
-    dropped = lambda M: _within_rounding(_column_norms(M - M.mean(axis=0)), M)
-    zero = dropped(X)[jx] | (kind == "choi") & dropped(Y)[jy]
+    zero = _dropped_beside_intercept(X)[jx] | (kind == "choi") & _dropped_beside_intercept(Y)[jy]
     fit = ~zero
     b21 = np.zeros(m * l)
     b21[fit] = quantile_slopes(X, Y, tau, jx[fit], jy[fit])
@@ -153,11 +152,11 @@ def qcov_matrix(X, Y, metric):
     directions for ``choi``) from :func:`~fpqr.quantreg.quantile_slopes`.
     A regressor that the QR rule of
     :func:`~fpqr.quantreg.fit_quantile_regression` drops beside the
-    intercept, ``||x - mean(x)|| <= max(n, 2) * eps * ||x||`` (exact
-    constants included), makes its entry degenerate at any ``n``; ``choi``
-    tests both columns. Degenerate entries are set to 0, and each category
-    (zero variance, discordant ``choi`` slopes) warns once per call with its
-    count and its first three ``(j, k)`` in row-major order.
+    intercept, ``|R[1, 1]| <= max(n, 2) * eps * ||x||`` for the QR of
+    ``[1, x]``, makes its entry degenerate at any ``n``; ``choi`` tests both
+    columns. Degenerate entries are set to 0, and each category (zero
+    variance, discordant ``choi`` slopes) warns once per call with its count
+    and its first three ``(j, k)`` in row-major order.
     """
     if not isinstance(metric, QcovMetric):
         raise TypeError(f"metric must be a QcovMetric, got {type(metric).__name__}")

@@ -108,16 +108,19 @@ def _binary_exponents(M):
     return np.frexp(np.abs(M).max(axis=0))[1]
 
 
-def _column_norms(M):
-    # Column 2-norms that cannot overflow or underflow: each column is scaled by a power of two near its
-    # largest |entry| first, as LAPACK's norms scale. The scaling is exact, so in range the bits are np.linalg.norm's.
-    e = _binary_exponents(M)
-    return np.ldexp(np.linalg.norm(np.ldexp(M, -e), axis=0), e)
-
-
 def _within_rounding(size, D):
-    # QR's scale-free test: each size is within max(n, 2) machine epsilons of its column's norm in D (n rows).
-    return size <= max(D.shape[0], 2) * np.finfo(float).eps * _column_norms(D)
+    # QR's scale-free test: each size is within max(n, 2) machine epsilons of its column's norm in D (n rows). Each
+    # norm is taken on its column scaled exactly by a power of two near its largest |entry|, as LAPACK's norms
+    # scale, so it cannot overflow or underflow, and in range its bits are np.linalg.norm's.
+    e = _binary_exponents(D)
+    return size <= max(D.shape[0], 2) * np.finfo(float).eps * np.ldexp(np.linalg.norm(np.ldexp(D, -e), axis=0), e)
+
+
+def _dropped_beside_intercept(M):
+    # Per column x of M, whether _solve_lp's QR rule drops x beside an intercept: |R11| of the QR of [1, x], from
+    # one stacked factorization of all columns, whose R has the bits of _solve_lp's own.
+    r = np.linalg.qr(np.stack([np.ones_like(M.T), M.T], axis=-1), mode="r")
+    return _within_rounding(np.abs(r[:, 1, 1]), M)
 
 
 def _solve_lp(D, y, tau):
@@ -385,9 +388,9 @@ def quantile_slopes(X, Y, tau, x_columns, y_columns):
     ``X`` and ``Y`` are finite with one row count ``n >= 2``, every column
     is in binary units (scaled by the power of two that brings its largest
     |entry| into [0.5, 1), so that no intermediate overflows), and the QR
-    rule of :func:`fit_quantile_regression` keeps every regressor; callers
-    check and scale. Returns ``len(x_columns)`` slopes in those units, each
-    the smallest minimiser, zero as +0.0.
+    rule of :func:`fit_quantile_regression` keeps every regressor beside the
+    intercept; callers check and scale. Returns ``len(x_columns)`` slopes in
+    those units, each the smallest minimiser, zero as +0.0.
 
     While one pair's ``n * (n - 1) / 2`` pairwise slopes fit in
     ``SLOPE_BLOCK_ENTRIES`` (up to 362 rows), they are listed, in blocks of

@@ -825,6 +825,18 @@ class TestCliErrorLines:
         assert main([*args, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.splitlines()[-1] == f"fpqr {command}: error: {line}"
 
+    @pytest.mark.parametrize("args", [["fit"], ["cv", "--components", "1..2"]], ids=["fit", "cv"])
+    def test_row_count_mismatch_line(self, tmp_path, capsys, args):
+        # The fitting core's block check reports it, as for an in-process fit.
+        x_path, y_path, out_path = tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "out"
+        write_csv(x_path, ["a"], [[1.0], [2.0], [3.0]])
+        write_csv(y_path, ["y"], [[1.0], [2.0]])
+        assert main([*args, "--x", str(x_path), "--y", str(y_path), "--out", str(out_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: X has 3 rows, Y has 2\n"
+        assert captured.out == ""
+        assert not out_path.exists()
+
     def test_cv_excluded_candidate_line(self, xy_files, tmp_path, capsys):
         # 30 rows in 5 folds train on 24 rows of 4 predictors, so 5 components never fit.
         x_path, y_path, _, _ = xy_files

@@ -341,6 +341,33 @@ class TestQcovMatrix:
         for j in kept:
             assert quantreg._solve_lp(np.column_stack([np.ones(n), X[:, j]]), y, 0.5)[2].all(), j
 
+    @pytest.mark.parametrize("n, columns", [(50, 500), (300, 300), (400, 300), (2000, 30)])
+    def test_zeroes_exactly_the_regressors_the_simplex_drops(self, n, columns, monkeypatch):
+        # Columns x = c + s * v, v a centered normal column, with ||s * v|| within 3 % of
+        # max(n, 2) * eps * sqrt(n) * c: the margin of the QR rule beside the intercept, where a
+        # verdict from centered norms ||x - mean(x)|| parts from it on 5, 2 and 4 of the columns
+        # at 50, 300 and 400 rows. dodge zeroes an entry exactly where the simplex on [1, x]
+        # drops x, and its warning counts every zero; at 400 rows the listing zeroes the same.
+        rng = np.random.default_rng(n)
+        c = rng.uniform(0.5, 1.0, size=columns)
+        v = rng.normal(size=(n, columns))
+        v -= v.mean(axis=0)
+        size = max(n, 2) * np.finfo(float).eps * np.sqrt(n) * c * rng.uniform(0.97, 1.03, size=columns)
+        X = c + size / np.linalg.norm(v, axis=0) * v
+        y = rng.normal(size=n)
+        metric = QcovMetric("dodge", tau=0.5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            zero = qcov_matrix(X, y, metric)[:, 0] == 0.0
+        dropped = [not quantreg._solve_lp(np.column_stack([np.ones(n), x]), y, 0.5)[2][1] for x in X.T]
+        assert_array_equal(zero, dropped)
+        counts = [re.search(rf" at (\d+) of {columns} entries", str(w.message))[1] for w in caught]
+        assert counts == [str(zero.sum())]
+        if n == 400:
+            monkeypatch.setattr(quantreg, "SLOPE_BLOCK_ENTRIES", n * (n - 1) // 2)
+            with pytest.warns(ZeroVarianceWarning):
+                assert_array_equal(qcov_matrix(X, y, metric)[:, 0] == 0.0, zero)
+
     @pytest.mark.parametrize("n", [20, 400], ids=["listing", "simplex"])
     @pytest.mark.parametrize("kind", ["dodge", "choi"])
     def test_regressor_whose_squares_underflow_is_fitted(self, kind, n):
